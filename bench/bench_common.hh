@@ -4,13 +4,12 @@
  *
  * Every reproduction binary accepts one uniform option set (any order):
  *   --refs N         demand references per processor (default 100000)
- *   --procs N        processor count (default 16)
+ *   --procs N        processor count, 1..32 (default 16)
  *   --seed N         workload RNG seed (default 12345)
  *   --jobs N         sweep worker threads (0 = all cores; default 1)
  *   --cache-dir PATH persist results to an on-disk cache at PATH
  *   --no-cache       ignore any --cache-dir; recompute everything
- *   --engine E       simulation core: event (default), cycle or parallel
- *   --shards N       worker shards per parallel-engine simulation
+ *   --engine E       simulation core: local (default) or cycle
  *   --csv            machine-readable CSV output (where supported)
  *   --quiet          suppress informational logging
  *   --log-level L    minimum log severity: error, warn, info, debug
@@ -39,6 +38,7 @@
 #ifndef PREFSIM_BENCH_BENCH_COMMON_HH
 #define PREFSIM_BENCH_BENCH_COMMON_HH
 
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -103,33 +103,33 @@ parseBenchArgs(int argc, char **argv,
         if (arg == "--refs") {
             opts.params.refsPerProc = nextUint();
         } else if (arg == "--procs") {
-            opts.params.numProcs = static_cast<unsigned>(nextUint());
+            const std::uint64_t value = nextUint();
+            // The simulator tracks processors in 32-bit word masks.
+            if (value == 0 || value > 32)
+                prefsim_fatal("--procs expects 1..32, got ", value);
+            opts.params.numProcs = static_cast<unsigned>(value);
         } else if (arg == "--seed") {
             opts.params.seed = nextUint();
         } else if (arg == "--jobs") {
-            opts.sweep.jobs = static_cast<unsigned>(nextUint());
+            const std::uint64_t value = nextUint();
+            if (value > UINT_MAX)
+                prefsim_fatal("--jobs expects 0..", UINT_MAX, ", got ",
+                              value);
+            opts.sweep.jobs = static_cast<unsigned>(value);
         } else if (arg == "--cache-dir") {
             opts.sweep.cacheDir = next();
         } else if (arg == "--no-cache") {
             opts.sweep.useCache = false;
         } else if (arg == "--engine") {
             const std::string name = next();
-            if (name == "cycle") {
+            if (name == "local") {
+                opts.sweep.engine = SimEngine::LocalClock;
+            } else if (name == "cycle") {
                 opts.sweep.engine = SimEngine::CycleLoop;
-            } else if (name == "event") {
-                opts.sweep.engine = SimEngine::EventDriven;
-            } else if (name == "parallel") {
-                opts.sweep.engine = SimEngine::Parallel;
             } else {
-                prefsim_fatal("--engine expects cycle, event or "
-                              "parallel, got '",
+                prefsim_fatal("--engine expects local or cycle, got '",
                               name, "'");
             }
-        } else if (arg == "--shards") {
-            const std::uint64_t value = nextUint();
-            if (value == 0 || value > 1024)
-                prefsim_fatal("--shards expects 1..1024, got ", value);
-            opts.sweep.shards = static_cast<unsigned>(value);
         } else if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--quiet") {
@@ -166,22 +166,18 @@ parseBenchArgs(int argc, char **argv,
                 << "usage: " << (argc > 0 ? argv[0] : "bench")
                 << " [options]\n"
                    "  --refs N         demand references per processor\n"
-                   "  --procs N        processor count\n"
+                   "  --procs N        processor count (1..32)\n"
                    "  --seed N         workload RNG seed\n"
                    "  --jobs N         sweep worker threads "
                    "(0 = all cores; default 1)\n"
                    "  --cache-dir PATH persist results to an on-disk "
                    "cache\n"
                    "  --no-cache       ignore any --cache-dir\n"
-                   "  --engine E       simulation core: event (default), "
-                   "cycle (the\n"
-                   "                   reference loop) or parallel (the "
-                   "sharded\n"
-                   "                   conservative-PDES core); "
-                   "bit-identical results\n"
-                   "  --shards N       worker shards per parallel-engine "
-                   "simulation\n"
-                   "                   (1..1024; default 1)\n"
+                   "  --engine E       simulation core: local (the "
+                   "local-clock core,\n"
+                   "                   default) or cycle (the reference "
+                   "loop, to bisect);\n"
+                   "                   bit-identical results\n"
                    "  --csv            machine-readable CSV output\n"
                    "  --quiet          suppress informational logging\n"
                    "  --log-level L    minimum severity: error, warn, "

@@ -49,11 +49,6 @@ class ThreadPool
      */
     void waitAll();
 
-    unsigned numThreads() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
     /** The worker count @p requested resolves to (0 = all cores). */
     static unsigned resolveThreads(unsigned requested);
 

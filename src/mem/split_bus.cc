@@ -124,8 +124,8 @@ SplitBus::pickNext(Cycle now)
     // processors always have distinct ranks — ownerless transactions
     // rank strictly after every processor, not as processor 0 — and
     // same-rank ties fall back to queue position, which for a single
-    // processor is its program order. The parallel engine relies on
-    // this to grant identically however its shards happened to race.
+    // processor is its program order, so the grant never depends on
+    // which processor's request() call happened to come first.
     int best = -1;
     bool best_demand = false;
     std::uint32_t best_rank = ~std::uint32_t{0};

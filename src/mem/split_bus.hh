@@ -114,8 +114,8 @@ struct BusTiming
      * transfer later; data fills pay the whole uncontended latency.
      * Any cross-processor influence travels through a completion, so a
      * request issued at cycle t cannot affect another processor before
-     * t + requestLookahead() — the provable window the parallel engine
-     * leans on (docs/simcore.md).
+     * t + requestLookahead() — the provable window the local-clock
+     * core leans on (docs/simcore.md).
      */
     Cycle
     requestLookahead() const
@@ -196,8 +196,8 @@ class SplitBus
      * becoming grantable (only counted while a data channel is free —
      * with every channel busy the next grant is gated on a completion,
      * which the active-transfer bound already covers). Ticks strictly
-     * before the returned cycle are provably no-ops; the event-driven
-     * simulator core skips them. @return kNoCycle when the bus is idle.
+     * before the returned cycle are provably no-ops. @return kNoCycle
+     * when the bus is idle.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -205,9 +205,9 @@ class SplitBus
      * Earliest cycle a completion callback could fire: an address op's
      * fixed latency or an active transfer's occupancy elapsing.
      * Completions install lines and wake processors, so they bound the
-     * event core's fast-forward windows; grants (nextGrantCycle) do
+     * local-clock core's frontier jumps; grants (nextGrantCycle) do
      * not — they touch only bus-internal queues and statistics, so the
-     * core folds them into the window by ticking the bus mid-gap.
+     * core folds them into the jump by ticking the bus mid-gap.
      * @return kNoCycle when nothing is in flight.
      */
     Cycle nextCompletionCycle(Cycle now) const;
@@ -231,7 +231,7 @@ class SplitBus
      * contention-free latency floor). Cycles in [now, window) are a
      * provably completion-free span even against not-yet-issued
      * requests: the conservative-PDES synchronisation bound the
-     * parallel engine's epochs are aligned to. Never returns a cycle
+     * local-clock core's epochs are aligned to. Never returns a cycle
      * before now + 1 (the lookahead is at least one cycle by
      * construction: occupancies are validated non-zero).
      */

@@ -223,17 +223,22 @@ TEST(ProcessorSync, DeadlockIsDetected)
         "no progress");
 }
 
-TEST(ProcessorSync, StepCycleStopsWhenDone)
+TEST(ProcessorSync, StepStopsWhenDone)
 {
     Trace t;
     t.appendInstrs(3);
     const ParallelTrace pt = makeTrace({std::move(t)});
-    Simulator sim(pt, config());
-    while (sim.stepCycle()) {
+    for (const SimEngine engine :
+         {SimEngine::CycleLoop, SimEngine::LocalClock}) {
+        SimConfig cfg = config();
+        cfg.engine = engine;
+        Simulator sim(pt, cfg);
+        while (sim.step()) {
+        }
+        EXPECT_EQ(sim.currentCycle(), 3u);
+        EXPECT_FALSE(sim.step());
+        EXPECT_EQ(sim.currentCycle(), 3u);
     }
-    EXPECT_EQ(sim.currentCycle(), 3u);
-    EXPECT_FALSE(sim.stepCycle());
-    EXPECT_EQ(sim.currentCycle(), 3u);
 }
 
 TEST(Warmup, ResetsMeasurementWindow)

@@ -1,13 +1,11 @@
 /**
  * @file
- * Differential tests for the three simulation cores.
+ * Differential tests for the two simulation cores.
  *
- * The event-driven engine (SimEngine::EventDriven) and the
- * conservative-PDES engine (SimEngine::Parallel, run at shard counts
- * 1, 2 and numProcs) must produce statistics *bit-identical* to the
- * reference cycle loop (SimEngine::CycleLoop) on every input — that is
- * their contract (see docs/simcore.md). These tests enforce it two
- * ways:
+ * The local-clock core (SimEngine::LocalClock) must produce statistics
+ * *bit-identical* to the reference cycle loop (SimEngine::CycleLoop)
+ * on every input — that is its contract (see docs/simcore.md). These
+ * tests enforce it two ways:
  *
  *  - a workload matrix: every generator × {NP, PREF, PWS}, plus
  *    configuration variants that exercise the folding paths the
@@ -19,7 +17,7 @@
  *    spin-lock windows, prefetch-buffer back-pressure, empty traces.
  *
  * The oracle counts blocked cycles eagerly (one bucket increment per
- * tick) while the event engine settles them arithmetically at wake, so
+ * tick) while the local-clock core settles them arithmetically at wake, so
  * equality here genuinely checks the lazy accounting rather than
  * comparing an implementation against itself.
  */
@@ -86,29 +84,15 @@ fingerprint(const SimStats &s)
     return os.str();
 }
 
-/** Run @p trace under all three engines — the parallel core at shard
- *  counts 1, 2 and numProcs — and require identical statistics. */
+/** Run @p trace under both engines and require identical statistics. */
 void
 expectEnginesAgree(const ParallelTrace &trace, SimConfig cfg,
                    const std::string &what)
 {
     cfg.engine = SimEngine::CycleLoop;
-    const SimStats oracle = simulate(trace, cfg);
-    const std::string want = fingerprint(oracle);
-    cfg.engine = SimEngine::EventDriven;
-    const SimStats event = simulate(trace, cfg);
-    EXPECT_EQ(want, fingerprint(event)) << what << " [event]";
-    cfg.engine = SimEngine::Parallel;
-    const unsigned nproc = static_cast<unsigned>(trace.numProcs());
-    for (unsigned shards : {1u, 2u, nproc}) {
-        if (shards == 0)
-            continue; // Zero-proc traces are rejected upstream anyway.
-        cfg.shards = shards;
-        const SimStats par = simulate(trace, cfg);
-        EXPECT_EQ(want, fingerprint(par))
-            << what << " [parallel, shards=" << shards << "]";
-    }
-    cfg.shards = 1;
+    const std::string want = fingerprint(simulate(trace, cfg));
+    cfg.engine = SimEngine::LocalClock;
+    EXPECT_EQ(want, fingerprint(simulate(trace, cfg))) << what;
 }
 
 /* ------------------------------------------------------------------ */
@@ -300,7 +284,8 @@ TEST(BurstBoundary, SpinLockGap)
 }
 
 /** Prefetch back-pressure: more outstanding prefetches than MSHRs force
- *  StallPrefetch, whose per-cycle reissues the event engine bulk-adds. */
+ *  StallPrefetch, whose per-cycle reissues the local-clock core
+ *  bulk-adds. */
 TEST(BurstBoundary, PrefetchBufferFull)
 {
     Trace a;
@@ -333,17 +318,17 @@ TEST(BurstBoundary, EmptyAndPureInstr)
     s.appendInstrs(1000);
     solo.procs.push_back(std::move(s));
     SimConfig cfg = plainConfig();
-    cfg.engine = SimEngine::EventDriven;
+    cfg.engine = SimEngine::LocalClock;
     const SimStats stats = simulate(solo, cfg);
     EXPECT_EQ(stats.cycles, 1000u);
     EXPECT_EQ(stats.procs[0].busy, 1000u);
     expectEnginesAgree(solo, plainConfig(), "single-proc-pure-instr");
 }
 
-/** stepEvent() must always make progress and never overshoot: each call
- *  advances the clock by at least one cycle, and the run ends at the
- *  same final cycle as the reference loop. */
-TEST(BurstBoundary, StepEventMonotonic)
+/** The local-clock core's step() must always make progress and never
+ *  overshoot: each call advances the clock by at least one cycle, and
+ *  the run ends at the same final cycle as the reference loop. */
+TEST(BurstBoundary, StepMonotonic)
 {
     WorkloadParams p;
     p.numProcs = 4;
@@ -354,21 +339,21 @@ TEST(BurstBoundary, StepEventMonotonic)
     SimConfig cfg;
     cfg.engine = SimEngine::CycleLoop;
     Simulator oracle(trace, cfg);
-    while (oracle.stepCycle()) {
+    while (oracle.step()) {
     }
 
-    cfg.engine = SimEngine::EventDriven;
-    Simulator event(trace, cfg);
-    Cycle prev = event.currentCycle();
+    cfg.engine = SimEngine::LocalClock;
+    Simulator local(trace, cfg);
+    Cycle prev = local.currentCycle();
     std::uint64_t steps = 0;
-    while (event.stepEvent()) {
-        ASSERT_GT(event.currentCycle(), prev);
-        prev = event.currentCycle();
+    while (local.step()) {
+        ASSERT_GT(local.currentCycle(), prev);
+        prev = local.currentCycle();
         ++steps;
     }
-    EXPECT_EQ(event.currentCycle(), oracle.currentCycle());
+    EXPECT_EQ(local.currentCycle(), oracle.currentCycle());
     // The whole point: far fewer exact steps than simulated cycles.
-    EXPECT_LT(steps, static_cast<std::uint64_t>(event.currentCycle()));
+    EXPECT_LT(steps, static_cast<std::uint64_t>(local.currentCycle()));
 }
 
 /* ------------------------------------------------------------------ */
@@ -496,8 +481,8 @@ TEST(ConservativeLookahead, EpochWindowClampsToPendingCompletion)
 
 TEST(ConservativeLookahead, GrantOrderIndependentOfArrivalOrder)
 {
-    // The parallel engine's shards may race their way into request()
-    // in any interleaving; arbitration must grant identically anyway.
+    // Same-cycle requests may reach request() in any order;
+    // arbitration must grant identically anyway.
     // Enqueue the same four same-cycle demand reads in opposite orders
     // and require the completion sequence (grant order: one channel,
     // equal transfer times) to match exactly.
