@@ -224,6 +224,33 @@ makeEngine(const BenchOptions &opts,
 }
 
 /**
+ * Write one per-run recorder document with @p write to @p path (a
+ * no-op when the flag was not given). An empty store usually means
+ * every point came from the result cache, which skips simulation — say
+ * so.
+ */
+inline void
+writeRunDocument(const SweepEngine &engine, const std::string &path,
+                 const char *flag, const char *what, bool empty,
+                 void (SweepEngine::*write)(std::ostream &) const)
+{
+    if (path.empty())
+        return;
+    if (empty) {
+        prefsim_warn(flag, ": no ", what, " recorded (cached results "
+                     "skip simulation; rerun with --no-cache or a fresh "
+                     "--cache-dir for full coverage)");
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out) {
+        prefsim_warn("cannot write ", what, " file ", path);
+        return;
+    }
+    (engine.*write)(out);
+    prefsim_inform("wrote ", what, " to ", path);
+}
+
+/**
  * Write whatever --metrics-out / --trace-out asked for. Call once,
  * after the sweep's last runPending()/run() returned. A no-op when
  * neither flag was given.
@@ -241,56 +268,20 @@ emitBenchTelemetry(const BenchOptions &opts, const SweepEngine &engine)
             prefsim_inform("wrote metrics to ", opts.metricsOut);
         }
     }
-    if (!opts.timeseriesOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->timeseries.empty()) {
-            prefsim_warn("--timeseries-out: no series recorded (cached "
-                         "results skip simulation; rerun with --no-cache "
-                         "or a fresh --cache-dir for full coverage)");
-        }
-        std::ofstream out(opts.timeseriesOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write time-series file ",
-                         opts.timeseriesOut);
-        } else {
-            engine.writeTimeseriesJson(out);
-            prefsim_inform("wrote interval time series to ",
-                           opts.timeseriesOut);
-        }
-    }
-    if (!opts.profileOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->profile.empty()) {
-            prefsim_warn("--profile-out: no profile runs recorded");
-        }
-        std::ofstream out(opts.profileOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write profile file ", opts.profileOut);
-        } else {
-            engine.writeProfileJson(out);
-            prefsim_inform("wrote attribution profile to ",
-                           opts.profileOut);
-        }
-    }
-    if (!opts.critpathOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->critpath.empty()) {
-            prefsim_warn("--critpath-out: no critical-path runs recorded");
-        }
-        std::ofstream out(opts.critpathOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write critpath file ", opts.critpathOut);
-        } else {
-            engine.writeCritPathJson(out);
-            prefsim_inform("wrote critical-path analysis to ",
-                           opts.critpathOut);
-        }
-    }
+    const ObsContext *obs = engine.obs();
+    writeRunDocument(engine, opts.timeseriesOut, "--timeseries-out",
+                     "interval time series",
+                     obs == nullptr || obs->timeseries.empty(),
+                     &SweepEngine::writeTimeseriesJson);
+    writeRunDocument(engine, opts.profileOut, "--profile-out",
+                     "attribution profile",
+                     obs == nullptr || obs->profile.empty(),
+                     &SweepEngine::writeProfileJson);
+    writeRunDocument(engine, opts.critpathOut, "--critpath-out",
+                     "critical-path analysis",
+                     obs == nullptr || obs->critpath.empty(),
+                     &SweepEngine::writeCritPathJson);
     if (!opts.traceOut.empty()) {
-        const ObsContext *obs = engine.obs();
         if (obs == nullptr || obs->tracer.numSessions() == 0) {
             prefsim_warn("--trace-out: no trace sessions recorded",
                          PREFSIM_TRACING

@@ -24,7 +24,8 @@
 #      observability stores it commits into;
 #   5. AddressSanitizer+UBSan with the PREFSIM_VERIFY runtime invariant
 #      hooks compiled in, running the full test suite;
-#   6. the event-tracing build + Chrome trace validation.
+#   6. the event-tracing build + Chrome trace validation, plus one run
+#      with every observer on at once, each document validated.
 #
 # Each stage prints its wall-clock budget when it completes.
 # Usage: scripts/check.sh [builddir]
@@ -349,6 +350,20 @@ ctest --test-dir "$TRACE_BUILD" -j "$JOBS" --output-on-failure
 "$TRACE_BUILD"/tools/validate_telemetry "$TRACE_BUILD/metrics.json" \
     "$TRACE_BUILD/trace.json"
 echo "ok: tracing build emits valid telemetry + Chrome trace JSON"
+# Every observer at once: the only build where the event sink's tracer
+# branch is compiled, so the only place the full fan-out runs. Each
+# document must validate. --no-cache: cached points would record only
+# skip markers.
+"$TRACE_BUILD"/bench/bench_fig2_exec_time --refs 3000 --procs 8 --quiet \
+    --jobs "$JOBS" --no-cache --metrics-out "$TRACE_BUILD/all_metrics.json" \
+    --trace-out "$TRACE_BUILD/all_trace.json" \
+    --profile-out "$TRACE_BUILD/all_profile.json" \
+    --critpath-out "$TRACE_BUILD/all_critpath.json" \
+    --timeseries-out "$TRACE_BUILD/all_timeseries.json" > /dev/null
+"$TRACE_BUILD"/tools/validate_telemetry "$TRACE_BUILD/all_metrics.json" \
+    "$TRACE_BUILD/all_trace.json" "$TRACE_BUILD/all_profile.json" \
+    "$TRACE_BUILD/all_critpath.json" "$TRACE_BUILD/all_timeseries.json"
+echo "ok: tracing build with every observer on emits five valid documents"
 
 stage ""
 echo "all checks passed"

@@ -304,26 +304,22 @@ SweepEngine::tryLoadFromDisk(const ExperimentSpec &spec,
     }
     runs_[key] = std::make_unique<ExperimentResult>(std::move(*result));
     ++counters_.cacheHits;
-    // A cache hit skips simulation, so it produces no time series and
-    // no profile run. Commit explicit `"skipped": "cache-hit"` markers
-    // so downstream tooling can tell "not sampled" from "lost".
-    if (obs_ && options_.sampleInterval > 0) {
-        obs::TimeSeries marker;
+    // A cache hit skips simulation, so it produces no per-run
+    // documents. Commit explicit `"skipped": "cache-hit"` markers so
+    // downstream tooling can tell "not recorded" from "lost".
+    auto mark_skipped = [&](bool on, auto &store, auto marker) {
+        if (!on)
+            return;
         marker.label = spec.label();
         marker.skipped = true;
-        obs_->timeseries.commit(std::move(marker));
-    }
-    if (obs_ && options_.profile) {
-        obs::ProfileRun marker;
-        marker.label = spec.label();
-        marker.skipped = true;
-        obs_->profile.commit(std::move(marker));
-    }
-    if (obs_ && options_.critpath) {
-        obs::CritPathRun marker;
-        marker.label = spec.label();
-        marker.skipped = true;
-        obs_->critpath.commit(std::move(marker));
+        store.commit(std::move(marker));
+    };
+    if (obs_) {
+        mark_skipped(options_.sampleInterval > 0, obs_->timeseries,
+                     obs::TimeSeries{});
+        mark_skipped(options_.profile, obs_->profile, obs::ProfileRun{});
+        mark_skipped(options_.critpath, obs_->critpath,
+                     obs::CritPathRun{});
     }
     return true;
 }
@@ -488,7 +484,7 @@ SweepEngine::writeTelemetryJson(std::ostream &os) const
         j.key("timeseries").beginObject();
         j.key("interval").value(options_.sampleInterval);
         j.key("runs").value(
-            static_cast<std::uint64_t>(obs_->timeseries.numSeries()));
+            static_cast<std::uint64_t>(obs_->timeseries.numRuns()));
         j.key("samples").value(obs_->timeseries.totalSamples());
         j.endObject();
         j.key("profile").beginObject();
@@ -508,36 +504,29 @@ SweepEngine::writeTelemetryJson(std::ostream &os) const
     os << "\n";
 }
 
+// Without an ObsContext the recorder was never enabled: an empty store
+// still emits a valid document, so downstream tooling can treat the
+// file uniformly.
+
 void
 SweepEngine::writeTimeseriesJson(std::ostream &os) const
 {
-    if (obs_) {
-        obs_->timeseries.writeJson(os);
-        return;
-    }
-    // Sampling was never enabled: still emit a valid (empty) document
-    // so downstream tooling can treat the file uniformly.
-    os << "{\"schema\":\"prefsim-timeseries-v1\",\"runs\":[]}\n";
+    const obs::TimeSeriesStore none;
+    (obs_ ? obs_->timeseries : none).writeJson(os);
 }
 
 void
 SweepEngine::writeProfileJson(std::ostream &os) const
 {
-    if (obs_) {
-        obs_->profile.writeJson(os);
-        return;
-    }
-    os << "{\"schema\":\"prefsim-profile-v1\",\"runs\":[]}\n";
+    const obs::ProfileStore none;
+    (obs_ ? obs_->profile : none).writeJson(os);
 }
 
 void
 SweepEngine::writeCritPathJson(std::ostream &os) const
 {
-    if (obs_) {
-        obs_->critpath.writeJson(os);
-        return;
-    }
-    os << "{\"schema\":\"prefsim-critpath-v1\",\"runs\":[]}\n";
+    const obs::CritPathStore none;
+    (obs_ ? obs_->critpath : none).writeJson(os);
 }
 
 } // namespace prefsim

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/profile/attribution_profiler.hh"
+#include "obs/run_hooks.hh"
 
 namespace prefsim
 {
@@ -189,23 +189,20 @@ DataCache::noteDisplaced(const CacheFrame &frame, EvictedLine &evicted,
 {
     if (frame.tag == kNoAddr || !isValid(frame.state))
         return;
-    if (owner_cache.obs_.evictions)
-        owner_cache.obs_.evictions->inc();
-    if (frame.state == LineState::Modified) {
+    const bool dirty = frame.state == LineState::Modified;
+    const bool unused_prefetch =
+        frame.broughtByPrefetch && !frame.usedSinceFill;
+    if (owner_cache.hooks_)
+        owner_cache.hooks_->evict(owner_cache.owner_, frame.tag, dirty,
+                                  unused_prefetch);
+    if (dirty) {
         evicted.lineBase = frame.tag;
         evicted.dirty = true;
-        if (owner_cache.obs_.dirtyEvictions)
-            owner_cache.obs_.dirtyEvictions->inc();
     }
-    if (frame.broughtByPrefetch && !frame.usedSinceFill) {
+    if (unused_prefetch) {
         // Prefetched data displaced before use: remember so the next
         // miss on it is classified "non-sharing, prefetched".
         owner_cache.markPrefetchLost(frame.tag);
-        if (owner_cache.obs_.prefetchLostEvictions)
-            owner_cache.obs_.prefetchLostEvictions->inc();
-        if (owner_cache.obs_.profile)
-            owner_cache.obs_.profile->prefetchDisplaced(
-                owner_cache.owner_, frame.tag);
     }
 }
 
@@ -315,8 +312,8 @@ DataCache::parkPrefetchedLine(Addr line_base, LineState state)
         // lines are clean by construction (never written while parked),
         // so no writeback is needed.
         markPrefetchLost(pdb_[slot].tag);
-        if (obs_.profile)
-            obs_.profile->prefetchDisplaced(owner_, pdb_[slot].tag);
+        if (hooks_)
+            hooks_->prefetchDisplace(owner_, pdb_[slot].tag);
     }
     pdb_[slot].beginResidency(line_base, state, /*by_prefetch=*/true);
     pdb_use_[slot] = ++use_clock_;

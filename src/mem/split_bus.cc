@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/critpath/critpath.hh"
-#include "obs/profile/attribution_profiler.hh"
+#include "obs/run_hooks.hh"
 #include "verify/runtime.hh"
 
 namespace prefsim
@@ -13,8 +12,8 @@ namespace prefsim
 namespace
 {
 
-/** Static-storage name for trace events (TraceEvent never owns). */
-[[maybe_unused]] constexpr const char *
+/** Static-storage name for trace events (they never own strings). */
+constexpr const char *
 opCName(BusOpKind kind)
 {
     switch (kind) {
@@ -32,29 +31,12 @@ opCName(BusOpKind kind)
     return "BusOp";
 }
 
-/** Distinguishes data-transfer async spans from the transaction
- *  lifetime spans they overlap (async pairs match on category + id;
- *  transaction ids never reach this bit). */
-[[maybe_unused]] constexpr std::uint64_t kXferIdBit = 1ull << 63;
-
 } // namespace
 
 std::string
 busOpName(BusOpKind kind)
 {
-    switch (kind) {
-      case BusOpKind::ReadShared:
-        return "ReadShared";
-      case BusOpKind::ReadExclusive:
-        return "ReadExclusive";
-      case BusOpKind::Upgrade:
-        return "Upgrade";
-      case BusOpKind::WriteBack:
-        return "WriteBack";
-      case BusOpKind::WriteUpdate:
-        return "WriteUpdate";
-    }
-    prefsim_panic("unknown bus op kind");
+    return opCName(kind);
 }
 
 SplitBus::SplitBus(const BusTiming &timing, unsigned num_procs)
@@ -75,12 +57,9 @@ SplitBus::request(const Transaction &t, Cycle now)
     Pending p;
     p.txn = t;
     p.id = next_id_++;
-#if PREFSIM_TRACING
-    p.requestedAt = now;
-#endif
     ++stats_.opCount[static_cast<unsigned>(t.kind)];
-    if (!BusTiming::isAddressClass(t.kind) && obs_.queueDepth)
-        obs_.queueDepth->record(waiting_.size());
+    if (hooks_ && !BusTiming::isAddressClass(t.kind))
+        hooks_->busRequest(waiting_.size());
     if (BusTiming::isAddressClass(t.kind)) {
         // Address-class operations ride the conflict-free address bus:
         // fixed latency, never queued behind data transfers (3.3).
@@ -166,12 +145,10 @@ SplitBus::tick(Cycle now)
     for (std::size_t i = 0; i < addr_ops_.size();) {
         if (now >= addr_ops_[i].readyAt) {
             const Transaction done = addr_ops_[i].txn;
-            PREFSIM_TRACE(obs_.trace,
-                          asyncSpan(obs_.trace->busTid(),
-                                    opCName(done.kind), obs::TraceCat::Bus,
-                                    addr_ops_[i].id,
-                                    addr_ops_[i].requestedAt, now,
-                                    done.lineBase, done.requester));
+            if (hooks_)
+                hooks_->busComplete(addr_ops_[i].id, opCName(done.kind),
+                                    done.lineBase, done.requester,
+                                    done.issuedAt, now);
             addr_ops_.erase(addr_ops_.begin() +
                             static_cast<std::ptrdiff_t>(i));
             ++completed;
@@ -185,12 +162,10 @@ SplitBus::tick(Cycle now)
     for (std::size_t i = 0; i < active_.size();) {
         if (now >= active_[i].endsAt) {
             const Transaction done = active_[i].pending.txn;
-            PREFSIM_TRACE(obs_.trace,
-                          asyncSpan(obs_.trace->busTid(),
-                                    opCName(done.kind), obs::TraceCat::Bus,
-                                    active_[i].pending.id,
-                                    active_[i].pending.requestedAt, now,
-                                    done.lineBase, done.requester));
+            if (hooks_)
+                hooks_->busComplete(active_[i].pending.id,
+                                    opCName(done.kind), done.lineBase,
+                                    done.requester, done.issuedAt, now);
             active_.erase(active_.begin() +
                           static_cast<std::ptrdiff_t>(i));
             ++completed;
@@ -214,39 +189,17 @@ SplitBus::tick(Cycle now)
         const Cycle wait = now - a.pending.readyAt;
         const bool demand =
             a.pending.txn.demandWaiting || !a.pending.txn.isPrefetch;
-        if (obs_.profile)
-            obs_.profile->busGrant(a.pending.txn.lineBase, occ, demand);
-        if (obs_.critpath)
-            obs_.critpath->busGrant(a.pending.id, a.pending.readyAt, now);
         if (demand) {
             stats_.queueWaitDemand += wait;
             ++stats_.grantsDemand;
-            if (obs_.arbWaitDemand)
-                obs_.arbWaitDemand->record(wait);
         } else {
             stats_.queueWaitPrefetch += wait;
             ++stats_.grantsPrefetch;
-            if (obs_.arbWaitPrefetch)
-                obs_.arbWaitPrefetch->record(wait);
         }
-        // Data-bus occupancy. With a single channel grants are strictly
-        // sequential, so a synchronous span nests; with parallel
-        // channels transfers overlap and need async pairing (the id bit
-        // keeps them distinct from the transaction-lifetime spans).
-        if (timing_.dataChannels == 1) {
-            PREFSIM_TRACE(obs_.trace,
-                          span(obs_.trace->busTid(), "transfer",
-                               obs::TraceCat::Bus, now, a.endsAt,
-                               a.pending.txn.lineBase,
-                               a.pending.txn.requester));
-        } else {
-            PREFSIM_TRACE(obs_.trace,
-                          asyncSpan(obs_.trace->busTid(), "transfer",
-                                    obs::TraceCat::Bus,
-                                    a.pending.id | kXferIdBit, now,
-                                    a.endsAt, a.pending.txn.lineBase,
-                                    a.pending.txn.requester));
-        }
+        if (hooks_)
+            hooks_->busGrant(a.pending.id, a.pending.txn.lineBase,
+                             a.pending.txn.requester, a.pending.readyAt,
+                             now, occ, demand, timing_.dataChannels > 1);
         rr_next_ = (a.pending.txn.requester == kNoProc
                         ? rr_next_
                         : a.pending.txn.requester + 1) %

@@ -31,9 +31,7 @@ resClassName(ResClass c)
 CritPathRecorder::CritPathRecorder(unsigned procs, std::string label)
     : procs_(procs), label_(std::move(label)), pieces_(procs),
       upgradeStartAt_(procs, kNoCycle), upgradeId_(procs, 0),
-      upgradeData_(procs, false), upgradeLine_(procs, kNoAddr),
-      spinStartAt_(procs, kNoCycle), barrierArriveAt_(procs, kNoCycle),
-      stallPrefStartAt_(procs, kNoCycle)
+      upgradeData_(procs, false), upgradeLine_(procs, kNoAddr)
 {
 }
 
@@ -164,37 +162,13 @@ CritPathRecorder::upgradeComplete(ProcId proc, Cycle now)
 }
 
 void
-CritPathRecorder::lockSpinStart(ProcId proc, SyncId lock, Cycle now)
+CritPathRecorder::lockWait(ProcId proc, SyncId lock, Cycle start, Cycle now)
 {
-    (void)lock;
-    spinStartAt_[proc] = now;
-}
-
-void
-CritPathRecorder::lockAcquired(ProcId proc, SyncId lock, Cycle now)
-{
-    const Cycle s = spinStartAt_[proc];
-    if (s == kNoCycle)
-        return;
-    spinStartAt_[proc] = kNoCycle;
     ProcId pred = kNoProc;
     const auto it = lockReleaser_.find(lock);
     if (it != lockReleaser_.end() && it->second != proc)
         pred = it->second;
-    emitPiece(proc, s, now, ResClass::Lock, kNoAddr, pred, false);
-}
-
-void
-CritPathRecorder::lockReleased(ProcId proc, SyncId lock, Cycle now)
-{
-    (void)now;
-    lockReleaser_[lock] = proc;
-}
-
-void
-CritPathRecorder::barrierArrive(ProcId proc, Cycle now)
-{
-    barrierArriveAt_[proc] = now;
+    emitPiece(proc, start, now, ResClass::Lock, kNoAddr, pred, false);
 }
 
 void
@@ -205,30 +179,16 @@ CritPathRecorder::barrierLast(ProcId proc, Cycle now)
 }
 
 void
-CritPathRecorder::barrierReleased(ProcId proc, Cycle now)
+CritPathRecorder::barrierWait(ProcId proc, Cycle start, Cycle now)
 {
-    const Cycle s = barrierArriveAt_[proc];
-    if (s == kNoCycle)
-        return;
-    barrierArriveAt_[proc] = kNoCycle;
     const ProcId pred = lastArriver_ == proc ? kNoProc : lastArriver_;
-    emitPiece(proc, s, now, ResClass::Barrier, kNoAddr, pred, false);
+    emitPiece(proc, start, now, ResClass::Barrier, kNoAddr, pred, false);
 }
 
 void
-CritPathRecorder::prefetchStallStart(ProcId proc, Cycle now)
+CritPathRecorder::prefetchStall(ProcId proc, Cycle start, Cycle now)
 {
-    stallPrefStartAt_[proc] = now;
-}
-
-void
-CritPathRecorder::prefetchStallEnd(ProcId proc, Cycle now)
-{
-    const Cycle s = stallPrefStartAt_[proc];
-    if (s == kNoCycle)
-        return;
-    stallPrefStartAt_[proc] = kNoCycle;
-    emitPiece(proc, s, now, ResClass::PrefetchStall, kNoAddr, kNoProc,
+    emitPiece(proc, start, now, ResClass::PrefetchStall, kNoAddr, kNoProc,
               true);
 }
 
@@ -469,13 +429,6 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
 }
 
 void
-CritPathStore::commit(CritPathRun run)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    runs_.push_back(std::move(run));
-}
-
-void
 CritPathStore::attachValidation(const std::string &label,
                                 std::uint64_t actual_cycles)
 {
@@ -487,27 +440,6 @@ CritPathStore::attachValidation(const std::string &label,
             if (w.scenario == "infinite_bus")
                 w.actualCycles = actual_cycles;
     }
-}
-
-bool
-CritPathStore::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.empty();
-}
-
-std::size_t
-CritPathStore::numRuns() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::vector<CritPathRun>
-CritPathStore::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_;
 }
 
 void
@@ -571,25 +503,6 @@ CritPathStore::writeRunJson(JsonWriter &j, const CritPathRun &run)
     }
     j.endArray();
     j.endObject();
-}
-
-void
-CritPathStore::writeJson(std::ostream &os) const
-{
-    std::vector<CritPathRun> runs = snapshot();
-    std::stable_sort(runs.begin(), runs.end(),
-                     [](const CritPathRun &a, const CritPathRun &b) {
-                         return a.label < b.label;
-                     });
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("schema").value("prefsim-critpath-v1");
-    j.key("runs").beginArray();
-    for (const CritPathRun &run : runs)
-        writeRunJson(j, run);
-    j.endArray();
-    j.endObject();
-    os << "\n";
 }
 
 } // namespace obs

@@ -7,8 +7,7 @@
  * paper's argument turns on — bus request/grant/completion, upgrade
  * traffic, late demand attach to an in-flight prefetch, lock
  * release/acquire and barrier episodes. The recorder listens at those
- * boundaries (null-by-default pointers on the existing observer
- * structs, exactly like the tracer and the attribution profiler) and
+ * boundaries (through the run's event sink, obs::RunHooks) and
  * partitions each processor's timeline into *pieces* tagged with a
  * closed set of resource classes:
  *
@@ -57,19 +56,16 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/run_store.hh"
 
 namespace prefsim
 {
-
-class JsonWriter;
 
 namespace obs
 {
@@ -132,10 +128,9 @@ struct CritPathRun
 };
 
 /**
- * Per-run recorder. Created by the Simulator when SimConfig::critpath
- * is set, wired to the observer structs, and consumed once via take()
- * after the run drains. All hooks are main-thread only (see file
- * comment); no internal locking.
+ * Per-run recorder. Created by the run's RunHooks when
+ * SimConfig::critpath is set and consumed once via take() after the
+ * run drains. Single-threaded (see file comment); no internal locking.
  */
 class CritPathRecorder
 {
@@ -169,15 +164,20 @@ class CritPathRecorder
     void upgradeComplete(ProcId proc, Cycle now);
 
     // ---- processor / sync hooks ---------------------------------------
-    void lockSpinStart(ProcId proc, SyncId lock, Cycle now);
-    void lockAcquired(ProcId proc, SyncId lock, Cycle now);
-    void lockReleased(ProcId proc, SyncId lock, Cycle now);
-    void barrierArrive(ProcId proc, Cycle now);
+    /** @p proc spun on @p lock over [start, now) and then acquired it
+     *  (the run's event sink tracks when each wait opened). */
+    void lockWait(ProcId proc, SyncId lock, Cycle start, Cycle now);
+    void
+    lockReleased(ProcId proc, SyncId lock)
+    {
+        lockReleaser_[lock] = proc;
+    }
     /** The last arriver (fires before the waiters are released). */
     void barrierLast(ProcId proc, Cycle now);
-    void barrierReleased(ProcId proc, Cycle now);
-    void prefetchStallStart(ProcId proc, Cycle now);
-    void prefetchStallEnd(ProcId proc, Cycle now);
+    /** @p proc waited at a barrier over [start, now). */
+    void barrierWait(ProcId proc, Cycle start, Cycle now);
+    /** @p proc stalled issuing a prefetch over [start, now). */
+    void prefetchStall(ProcId proc, Cycle start, Cycle now);
 
     // ---- lifecycle -----------------------------------------------------
     /**
@@ -226,9 +226,6 @@ class CritPathRecorder
     std::vector<std::uint64_t> upgradeId_;
     std::vector<bool> upgradeData_;
     std::vector<Addr> upgradeLine_;
-    std::vector<Cycle> spinStartAt_;
-    std::vector<Cycle> barrierArriveAt_;
-    std::vector<Cycle> stallPrefStartAt_;
 
     // Cross-chain predecessors.
     std::unordered_map<SyncId, ProcId> lockReleaser_;
@@ -236,31 +233,25 @@ class CritPathRecorder
     std::vector<Cycle> episodeEnds_; ///< Barrier release cycles.
 };
 
-/**
- * Thread-safe accumulator for finished runs; one per SweepEngine via
- * ObsContext, serialised as label-sorted `prefsim-critpath-v1` JSON.
- */
-class CritPathStore
+/** Finished critical-path analyses of a sweep, owned by the
+ *  ObsContext. */
+class CritPathStore : public RunStore<CritPathRun>
 {
   public:
-    void commit(CritPathRun run);
     /** Attach the validated infinite-bus re-simulation result to the
      *  run with @p label (no-op when the label is unknown). */
     void attachValidation(const std::string &label,
                           std::uint64_t actual_cycles);
 
-    bool empty() const;
-    std::size_t numRuns() const;
-    std::vector<CritPathRun> snapshot() const;
-
     /** Full document: {"schema":"prefsim-critpath-v1","runs":[...]}. */
-    void writeJson(std::ostream &os) const;
+    void
+    writeJson(std::ostream &os) const
+    {
+        writeDocument(os, "prefsim-critpath-v1", writeRunJson);
+    }
+
     /** One run object (shared with validate/report tooling tests). */
     static void writeRunJson(JsonWriter &j, const CritPathRun &run);
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<CritPathRun> runs_;
 };
 
 } // namespace obs

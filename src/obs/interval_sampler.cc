@@ -96,37 +96,6 @@ IntervalSampler::finish(const SampleFrame &f)
         emitRow(f);
 }
 
-void
-TimeSeriesStore::commit(TimeSeries series)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    series_.push_back(std::move(series));
-}
-
-bool
-TimeSeriesStore::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return series_.empty();
-}
-
-std::size_t
-TimeSeriesStore::numSeries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return series_.size();
-}
-
-std::uint64_t
-TimeSeriesStore::totalSamples() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t n = 0;
-    for (const TimeSeries &s : series_)
-        n += s.samples();
-    return n;
-}
-
 namespace
 {
 
@@ -205,34 +174,6 @@ TimeSeriesStore::writeSeriesJson(JsonWriter &j, const TimeSeries &s)
                     &ProcSeries::waitBarrier);
     j.endObject();
     j.endObject();
-}
-
-void
-TimeSeriesStore::writeJson(std::ostream &os) const
-{
-    // Sort a view by label: concurrent sweeps commit in completion
-    // order, and the document must be deterministic (check.sh diffs
-    // engine outputs byte-for-byte).
-    std::vector<const TimeSeries *> ordered;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ordered.reserve(series_.size());
-        for (const TimeSeries &s : series_)
-            ordered.push_back(&s);
-    }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const TimeSeries *a, const TimeSeries *b) {
-                         return a->label < b->label;
-                     });
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("schema").value("prefsim-timeseries-v1");
-    j.key("runs").beginArray();
-    for (const TimeSeries *s : ordered)
-        writeSeriesJson(j, *s);
-    j.endArray();
-    j.endObject();
-    os << "\n";
 }
 
 } // namespace obs

@@ -34,17 +34,14 @@
 #define PREFSIM_OBS_INTERVAL_SAMPLER_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/run_store.hh"
 
 namespace prefsim
 {
-
-class JsonWriter;
 
 namespace obs
 {
@@ -193,33 +190,27 @@ class IntervalSampler
     TimeSeries series_;
 };
 
-/**
- * Thread-safe collection of finished series, owned by the ObsContext.
- * Simulations running concurrently under one sweep commit here; the
- * JSON writer orders runs by label so output is deterministic
- * regardless of completion order.
- */
-class TimeSeriesStore
+/** Finished series of a sweep, owned by the ObsContext. */
+class TimeSeriesStore : public RunStore<TimeSeries>
 {
   public:
-    void commit(TimeSeries series);
-
-    bool empty() const;
-    std::size_t numSeries() const;
-
     /** Total samples across all committed series (telemetry summary). */
-    std::uint64_t totalSamples() const;
+    std::uint64_t
+    totalSamples() const
+    {
+        return sum([](const TimeSeries &s) { return s.samples(); });
+    }
 
     /** Write the full `prefsim-timeseries-v1` document. */
-    void writeJson(std::ostream &os) const;
+    void
+    writeJson(std::ostream &os) const
+    {
+        writeDocument(os, "prefsim-timeseries-v1", writeSeriesJson);
+    }
 
     /** Emit one series as a JSON object into an open writer (shared by
      *  writeJson and tests). */
     static void writeSeriesJson(JsonWriter &j, const TimeSeries &s);
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<TimeSeries> series_;
 };
 
 } // namespace obs

@@ -1,16 +1,19 @@
 /**
  * @file
- * The observability context: one metrics registry plus one tracer,
- * shared by every simulation a sweep runs.
+ * The observability context: the shared stores every simulation of a
+ * sweep reports into — one metrics registry, one tracer, and one store
+ * per per-run recorder (time series, attribution profile, critical
+ * path).
  *
  * Ownership: a SweepEngine (or an embedder, or a test) creates an
- * ObsContext and points SimConfig::obs at it; each Simulator registers
- * its components' metrics in the registry and, when tracing is
- * compiled in (PREFSIM_TRACING) and enabled at runtime, records the
- * run into a per-run TraceBuffer committed back to the tracer. A null
- * ObsContext pointer — the default everywhere — means every
- * instrumentation pointer stays null and the simulator runs exactly
- * as before.
+ * ObsContext and points SimConfig::obs at it. Each Simulator then
+ * builds one event sink, obs::RunHooks (run_hooks.hh), which registers
+ * the machine metrics, creates this run's recorders, receives every
+ * simulated event from the core through one narrow vocabulary and
+ * commits the finished recorders back here. A recorder of existing
+ * events is added in src/obs alone: no hook site in the core changes.
+ * A null ObsContext pointer — the default everywhere — leaves the
+ * core's sink pointers null and the simulator runs exactly as before.
  */
 
 #ifndef PREFSIM_OBS_OBS_HH

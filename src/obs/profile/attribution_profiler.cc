@@ -46,150 +46,11 @@ AttributionProfiler::AttributionProfiler(unsigned procs,
     run_.procs = procs;
 }
 
-void
-AttributionProfiler::miss(Addr line_base, MissKind kind,
-                          bool false_sharing)
-{
-    ProfileLine &l = line(line_base);
-    switch (kind) {
-      case MissKind::NonSharing:
-        ++l.missNonSharing;
-        break;
-      case MissKind::NonSharingPrefetched:
-        ++l.missNonSharingPrefetched;
-        break;
-      case MissKind::Invalidation:
-        ++l.missInvalidation;
-        break;
-      case MissKind::InvalidationPrefetched:
-        ++l.missInvalidationPrefetched;
-        break;
-      case MissKind::PrefetchInflight:
-        ++l.missPrefetchInflight;
-        break;
-    }
-    if (false_sharing)
-        ++l.missFalseSharing;
-}
-
-void
-AttributionProfiler::invalidation(Addr line_base, bool false_sharing)
-{
-    ProfileLine &l = line(line_base);
-    ++l.invalidations;
-    if (false_sharing)
-        ++l.invalidationsFalse;
-}
-
-void
-AttributionProfiler::downgrade(Addr line_base)
-{
-    ++line(line_base).downgrades;
-}
-
-void
-AttributionProfiler::inflightKill(Addr line_base)
-{
-    ++line(line_base).inflightKills;
-}
-
-void
-AttributionProfiler::prefetchIssued(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].issued;
-}
-
-void
-AttributionProfiler::prefetchLate(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].late;
-}
-
-void
-AttributionProfiler::prefetchLateness(ProcId proc, Addr line_base,
-                                      Cycle cycles)
-{
-    line(line_base).prefetch[proc].latenessCycles += cycles;
-}
-
-void
-AttributionProfiler::prefetchUseful(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].useful;
-}
-
-void
-AttributionProfiler::prefetchKilled(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].killed;
-}
-
-void
-AttributionProfiler::prefetchDisplaced(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].displaced;
-}
-
-void
-AttributionProfiler::busGrant(Addr line_base, Cycle occupancy,
-                              bool demand_class)
-{
-    ProfileLine &l = line(line_base);
-    l.busCycles += occupancy;
-    if (!demand_class)
-        l.busCyclesPrefetch += occupancy;
-    ++l.busOps;
-}
-
-void
-AttributionProfiler::resetForWarmup()
-{
-    run_.lines.clear();
-}
-
 ProfileRun
 AttributionProfiler::take(Cycle warmup_end)
 {
     run_.warmupEnd = warmup_end;
     return std::move(run_);
-}
-
-void
-ProfileStore::commit(ProfileRun run)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    runs_.push_back(std::move(run));
-}
-
-bool
-ProfileStore::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.empty();
-}
-
-std::size_t
-ProfileStore::numRuns() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::uint64_t
-ProfileStore::totalLines() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::uint64_t n = 0;
-    for (const ProfileRun &r : runs_)
-        n += r.lines.size();
-    return n;
-}
-
-std::vector<ProfileRun>
-ProfileStore::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_;
 }
 
 void
@@ -258,34 +119,6 @@ ProfileStore::writeRunJson(JsonWriter &j, const ProfileRun &run)
     j.key("pf_displaced").value(t.pfDisplaced);
     j.endObject();
     j.endObject();
-}
-
-void
-ProfileStore::writeJson(std::ostream &os) const
-{
-    // Sort a view by label: concurrent sweeps commit in completion
-    // order, and the document must be deterministic (check.sh diffs
-    // engine outputs byte-for-byte).
-    std::vector<const ProfileRun *> ordered;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ordered.reserve(runs_.size());
-        for (const ProfileRun &r : runs_)
-            ordered.push_back(&r);
-    }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const ProfileRun *a, const ProfileRun *b) {
-                         return a->label < b->label;
-                     });
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("schema").value("prefsim-profile-v1");
-    j.key("runs").beginArray();
-    for (const ProfileRun *r : ordered)
-        writeRunJson(j, *r);
-    j.endArray();
-    j.endObject();
-    os << "\n";
 }
 
 } // namespace obs

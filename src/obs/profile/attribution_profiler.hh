@@ -6,9 +6,8 @@
  * The aggregate counters (SimStats) and interval series (IntervalSampler)
  * say *how much* the bus and the coherence protocol cost; this layer says
  * *which lines* cost it. An AttributionProfiler is created per simulation
- * run when SimConfig::profile is set (null-by-default, like the Tracer)
- * and hangs off the existing hook structs (MemObs / CacheObs / BusObs).
- * Each hook attributes one event to a cache-line record:
+ * run when SimConfig::profile is set; the run's event sink
+ * (obs::RunHooks) attributes each event to a cache-line record:
  *
  *  - demand misses, split by the Figure 3 taxonomy (non-sharing vs
  *    invalidation, prefetched-and-lost vs never-prefetched, plus the
@@ -30,18 +29,14 @@
 #define PREFSIM_OBS_PROFILE_ATTRIBUTION_PROFILER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
+#include "obs/run_store.hh"
 
 namespace prefsim
 {
-
-class JsonWriter;
 
 namespace obs
 {
@@ -128,81 +123,59 @@ struct ProfileTotals
 };
 
 /**
- * Accumulates one run's attribution. The owner (Simulator) creates it
- * when profiling is requested, resets it at the warmup statistics
- * boundary, and moves the finished run into the ProfileStore.
+ * Accumulates one run's attribution. The run's event sink
+ * (obs::RunHooks) creates it when profiling is requested, counts each
+ * event straight into the matching line record, resets it at the
+ * warmup statistics boundary and moves the finished run into the
+ * ProfileStore.
  */
 class AttributionProfiler
 {
   public:
     AttributionProfiler(unsigned procs, std::string label);
 
-    /** Demand-miss classification (MemorySystem::classifyMiss). */
-    enum class MissKind
-    {
-        NonSharing,             ///< Cold/replacement, never prefetched.
-        NonSharingPrefetched,   ///< ... but a prefetched copy was lost.
-        Invalidation,           ///< Coherence miss, never prefetched.
-        InvalidationPrefetched, ///< ... and the lost copy was prefetched.
-        PrefetchInflight,       ///< Attached to an in-flight prefetch.
-    };
+    /** The record of the line at @p addr (created on first use). */
+    ProfileLine &line(Addr addr) { return run_.lines[addr]; }
 
-    /** @name Attribution hooks. @{ */
-    void miss(Addr line, MissKind kind, bool false_sharing);
-    void invalidation(Addr line, bool false_sharing);
-    void downgrade(Addr line);
-    void inflightKill(Addr line);
-    void prefetchIssued(ProcId proc, Addr line);
-    void prefetchLate(ProcId proc, Addr line);
-    void prefetchLateness(ProcId proc, Addr line, Cycle cycles);
-    void prefetchKilled(ProcId proc, Addr line);
-    void prefetchDisplaced(ProcId proc, Addr line);
-    void prefetchUseful(ProcId proc, Addr line);
-    void busGrant(Addr line, Cycle occupancy, bool demand_class);
-    /** @} */
+    /** @p proc's prefetch outcomes on the line at @p addr. */
+    ProfilePrefetch &
+    prefetch(ProcId proc, Addr addr)
+    {
+        return run_.lines[addr].prefetch[proc];
+    }
 
     /** Discard everything attributed so far (warmup statistics reset;
      *  all processors caught up). */
-    void resetForWarmup();
+    void resetForWarmup() { run_.lines.clear(); }
 
     /** Move the finished run out (the profiler is spent afterwards). */
     ProfileRun take(Cycle warmup_end);
 
   private:
-    ProfileLine &line(Addr addr) { return run_.lines[addr]; }
-
     ProfileRun run_;
 };
 
-/**
- * Thread-safe collection of finished profile runs, owned by the
- * ObsContext. The JSON writer orders runs by label so output is
- * deterministic regardless of completion order.
- */
-class ProfileStore
+/** Finished profile runs of a sweep, owned by the ObsContext. */
+class ProfileStore : public RunStore<ProfileRun>
 {
   public:
-    void commit(ProfileRun run);
-
-    bool empty() const;
-    std::size_t numRuns() const;
-
     /** Distinct attributed lines across all runs (telemetry summary). */
-    std::uint64_t totalLines() const;
-
-    /** Copy of the committed runs (tests and report tooling). */
-    std::vector<ProfileRun> snapshot() const;
+    std::uint64_t
+    totalLines() const
+    {
+        return sum([](const ProfileRun &r) { return r.lines.size(); });
+    }
 
     /** Write the full `prefsim-profile-v1` document. */
-    void writeJson(std::ostream &os) const;
+    void
+    writeJson(std::ostream &os) const
+    {
+        writeDocument(os, "prefsim-profile-v1", writeRunJson);
+    }
 
     /** Emit one run as a JSON object into an open writer (shared by
      *  writeJson and tests). */
     static void writeRunJson(JsonWriter &j, const ProfileRun &run);
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<ProfileRun> runs_;
 };
 
 } // namespace obs

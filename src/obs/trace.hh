@@ -11,13 +11,12 @@
  *
  * Recording is double-gated:
  *
- *  - **compile time**: every emission site goes through the
- *    PREFSIM_TRACE macro, which compiles to nothing unless the build
- *    defines PREFSIM_TRACING=1 (CMake -DPREFSIM_TRACING=ON). A default
- *    build carries no tracing code in its hot paths at all.
+ *  - **compile time**: the run's event sink (obs::RunHooks) records
+ *    nothing unless the build defines PREFSIM_TRACING=1 (CMake
+ *    -DPREFSIM_TRACING=ON); a default build folds every recording
+ *    branch away.
  *  - **run time**: with tracing compiled in, nothing is recorded until
- *    a Tracer is wired in via ObsContext and enabled; components hold a
- *    TraceBuffer pointer that stays null otherwise.
+ *    a Tracer is wired in via ObsContext and enabled.
  *
  * Buffers are bounded rings: when full, the oldest events are dropped
  * (and counted), never the newest — the end of a run is usually where
@@ -40,20 +39,6 @@
 
 #ifndef PREFSIM_TRACING
 #define PREFSIM_TRACING 0
-#endif
-
-#if PREFSIM_TRACING
-/** Record an event iff @p buf is non-null; args evaluate only then. */
-#define PREFSIM_TRACE(buf, ...)                                              \
-    do {                                                                     \
-        if (buf)                                                             \
-            (buf)->__VA_ARGS__;                                              \
-    } while (0)
-#else
-/** Tracing compiled out: the whole site vanishes. */
-#define PREFSIM_TRACE(buf, ...)                                              \
-    do {                                                                     \
-    } while (0)
 #endif
 
 namespace prefsim
@@ -93,9 +78,9 @@ struct TraceEvent
 };
 
 /**
- * Per-run, single-threaded bounded event ring. Create via
- * Tracer::beginSession; hand raw pointers to the components of one
- * Simulator only.
+ * Per-run, single-threaded bounded event ring. Created via
+ * Tracer::beginSession and recorded into by one run's event sink
+ * (obs::RunHooks) only.
  */
 class TraceBuffer
 {
@@ -110,16 +95,10 @@ class TraceBuffer
     span(std::uint32_t tid, const char *name, TraceCat cat, Cycle begin,
          Cycle end, Addr line = kNoAddr, std::uint64_t arg = 0)
     {
-        TraceEvent e;
-        e.ts = begin;
-        e.dur = end > begin ? end - begin : 0;
-        e.tid = tid;
-        e.name = name;
-        e.cat = cat;
-        e.ph = e.dur ? TraceEvent::Ph::Span : TraceEvent::Ph::Instant;
-        e.line = line;
-        e.arg = arg;
-        push(e);
+        const Cycle dur = end > begin ? end - begin : 0;
+        push({.ts = begin, .dur = dur, .tid = tid, .name = name, .cat = cat,
+              .ph = dur ? TraceEvent::Ph::Span : TraceEvent::Ph::Instant,
+              .line = line, .arg = arg});
     }
 
     /** Record a completed async span (pairs matched by @p id; may
@@ -129,17 +108,10 @@ class TraceBuffer
               std::uint64_t id, Cycle begin, Cycle end,
               Addr line = kNoAddr, std::uint64_t arg = 0)
     {
-        TraceEvent e;
-        e.ts = begin;
-        e.dur = end > begin ? end - begin : 0;
-        e.tid = tid;
-        e.name = name;
-        e.cat = cat;
-        e.ph = TraceEvent::Ph::Async;
-        e.id = id;
-        e.line = line;
-        e.arg = arg;
-        push(e);
+        push({.ts = begin, .dur = end > begin ? end - begin : 0,
+              .tid = tid, .name = name, .cat = cat,
+              .ph = TraceEvent::Ph::Async, .id = id, .line = line,
+              .arg = arg});
     }
 
     /** Record an instantaneous event. */
@@ -147,15 +119,8 @@ class TraceBuffer
     instant(std::uint32_t tid, const char *name, TraceCat cat, Cycle ts,
             Addr line = kNoAddr, std::uint64_t arg = 0)
     {
-        TraceEvent e;
-        e.ts = ts;
-        e.tid = tid;
-        e.name = name;
-        e.cat = cat;
-        e.ph = TraceEvent::Ph::Instant;
-        e.line = line;
-        e.arg = arg;
-        push(e);
+        push({.ts = ts, .tid = tid, .name = name, .cat = cat,
+              .ph = TraceEvent::Ph::Instant, .line = line, .arg = arg});
     }
 
     std::uint32_t numProcs() const { return num_procs_; }

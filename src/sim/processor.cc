@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "obs/run_hooks.hh"
 
 namespace prefsim
 {
@@ -58,19 +59,22 @@ Processor::executeAccess(Cycle now)
         state_ = State::WaitMemory;
         ++stats_.stallDemand;
         beginLazyStall(&stats_.stallDemand, now);
-        markStall("stall_miss", obs::TraceCat::Exec, now);
+        if (hooks_)
+            hooks_->memoryStall(id_, obs::MemStall::Miss, now);
         return false;
       case AccessResult::UpgradeWait:
         state_ = State::WaitMemory;
         ++stats_.stallUpgrade;
         beginLazyStall(&stats_.stallUpgrade, now);
-        markStall("stall_upgrade", obs::TraceCat::Exec, now);
+        if (hooks_)
+            hooks_->memoryStall(id_, obs::MemStall::Upgrade, now);
         return false;
       case AccessResult::InProgressWait:
         state_ = State::WaitMemory;
         ++stats_.stallDemand;
         beginLazyStall(&stats_.stallDemand, now);
-        markStall("stall_inflight_prefetch", obs::TraceCat::Exec, now);
+        if (hooks_)
+            hooks_->memoryStall(id_, obs::MemStall::InflightPrefetch, now);
         return false;
     }
     prefsim_panic("unknown access result");
@@ -106,12 +110,8 @@ Processor::tick(Cycle now)
         if (locks_.tryAcquire(r.sync, id_)) {
             ++stats_.busy;
             state_ = State::Running;
-            endStall(now);
-            if (critpath_)
-                critpath_->lockAcquired(id_, r.sync, now);
-            PREFSIM_TRACE(trace_buf_,
-                          instant(id_, "lock_acquire", obs::TraceCat::Sync,
-                                  now, kNoAddr, r.sync));
+            if (hooks_)
+                hooks_->lockAcquire(id_, r.sync, now, /*spun=*/true);
             advance(now);
         } else {
             ++stats_.spinLock;
@@ -130,9 +130,8 @@ Processor::tick(Cycle now)
             ++stats_.busy;
             ++stats_.prefetchesExecuted;
             state_ = State::Running;
-            endStall(now);
-            if (critpath_)
-                critpath_->prefetchStallEnd(id_, now);
+            if (hooks_)
+                hooks_->prefetchStallEnd(id_, now);
             advance(now);
         }
         return;
@@ -186,9 +185,8 @@ Processor::tick(Cycle now)
         if (res == PrefetchResult::BufferFull) {
             ++stats_.stallPrefetchQueue;
             state_ = State::StallPrefetch;
-            if (critpath_)
-                critpath_->prefetchStallStart(id_, now);
-            markStall("stall_prefetch_buffer", obs::TraceCat::Exec, now);
+            if (hooks_)
+                hooks_->prefetchStall(id_, now);
         } else {
             ++stats_.busy;
             ++stats_.prefetchesExecuted;
@@ -200,54 +198,43 @@ Processor::tick(Cycle now)
       case RecordKind::LockAcquire:
         if (locks_.tryAcquire(r.sync, id_)) {
             ++stats_.busy;
-            PREFSIM_TRACE(trace_buf_,
-                          instant(id_, "lock_acquire", obs::TraceCat::Sync,
-                                  now, kNoAddr, r.sync));
+            if (hooks_)
+                hooks_->lockAcquire(id_, r.sync, now, /*spun=*/false);
             advance(now);
         } else {
             ++stats_.spinLock;
             state_ = State::SpinLock;
-            if (critpath_)
-                critpath_->lockSpinStart(id_, r.sync, now);
-            markStall("spin_lock", obs::TraceCat::Sync, now);
+            if (hooks_)
+                hooks_->lockSpin(id_, now);
         }
         return;
 
       case RecordKind::LockRelease:
         ++stats_.busy;
         locks_.release(r.sync, id_);
-        if (critpath_)
-            critpath_->lockReleased(id_, r.sync, now);
+        if (hooks_)
+            hooks_->lockRelease(id_, r.sync, now);
         if (lock_release_)
             lock_release_(r.sync);
-        PREFSIM_TRACE(trace_buf_,
-                      instant(id_, "lock_release", obs::TraceCat::Sync,
-                              now, kNoAddr, r.sync));
         advance(now);
         return;
 
-      case RecordKind::Barrier:
+      case RecordKind::Barrier: {
         ++stats_.busy;
-        PREFSIM_TRACE(trace_buf_,
-                      instant(id_, "barrier_arrive", obs::TraceCat::Sync,
-                              now, kNoAddr, r.sync));
-        if (barriers_.arrive(r.sync, id_)) {
-            // Last arrival: everyone proceeds. The recorder learns the
-            // episode's critical arriver before the waiters release, so
-            // their barrier pieces carry the right predecessor.
-            if (critpath_)
-                critpath_->barrierLast(id_, now);
+        const bool last = barriers_.arrive(r.sync, id_);
+        if (hooks_)
+            hooks_->barrierArrive(id_, r.sync, now, last);
+        if (last) {
+            // Last arrival: everyone proceeds.
             advance(now);
             if (release_all_)
                 release_all_(now);
         } else {
             state_ = State::WaitBarrier;
             beginLazyStall(&stats_.waitBarrier, now);
-            if (critpath_)
-                critpath_->barrierArrive(id_, now);
-            markStall("wait_barrier", obs::TraceCat::Sync, now);
         }
         return;
+      }
     }
     prefsim_panic("unknown record kind");
 }
@@ -258,7 +245,8 @@ Processor::wake(bool retry, Cycle now)
     prefsim_assert(state_ == State::WaitMemory,
                    "wake() on proc ", id_, " in state ", describeState());
     state_ = State::Running;
-    endStall(now);
+    if (hooks_)
+        hooks_->memoryWake(id_, now);
     // Settle the blocked span [anchor, now) into the bucket chosen at
     // entry. Completions fire from the bus tick, which runs before the
     // processor rotation, so this processor never ticks at `now` while
@@ -280,9 +268,8 @@ Processor::barrierRelease(Cycle now, bool ticked_this_cycle)
                    "barrierRelease() on proc ", id_, " in state ",
                    describeState());
     state_ = State::Running;
-    endStall(now);
-    if (critpath_)
-        critpath_->barrierReleased(id_, now);
+    if (hooks_)
+        hooks_->barrierRelease(id_, now);
     // Settle the waiting span. Releases happen mid-rotation (the last
     // arriver executes its Barrier record), so processors whose service
     // slot preceded the releaser's already spent cycle `now` waiting

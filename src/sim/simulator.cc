@@ -137,32 +137,18 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
     }
 
     if (config.obs) {
-        // beginSession returns null when tracing is disabled or the
-        // session budget is spent; metrics attach either way.
-        trace_buf_ = config.obs->tracer.beginSession(
-            static_cast<std::uint32_t>(trace.numProcs()),
-            config.traceLabel.empty() ? "run" : config.traceLabel);
-        if (config.profile) {
-            profiler_ = std::make_unique<obs::AttributionProfiler>(
-                static_cast<unsigned>(trace.numProcs()),
-                config.traceLabel.empty() ? "run" : config.traceLabel);
-        }
-        if (config.critpath) {
-            critpath_ = std::make_unique<obs::CritPathRecorder>(
-                static_cast<unsigned>(trace.numProcs()),
-                config.traceLabel.empty() ? "run" : config.traceLabel);
-        }
-        mem_->attachObs(*config.obs, trace_buf_.get(), profiler_.get(),
-                        critpath_.get());
-        for (auto &pr : procs_) {
-            pr->setTrace(trace_buf_.get());
-            pr->setCritPath(critpath_.get());
-        }
+        const std::string label =
+            config.traceLabel.empty() ? "run" : config.traceLabel;
+        hooks_ = std::make_unique<obs::RunHooks>(
+            *config.obs, static_cast<unsigned>(trace.numProcs()), label,
+            config.profile, config.critpath);
+        mem_->setHooks(hooks_.get());
+        for (auto &pr : procs_)
+            pr->setHooks(hooks_.get());
         if (config.sampleInterval > 0) {
             sampler_ = std::make_unique<obs::IntervalSampler>(
                 config.sampleInterval,
-                static_cast<unsigned>(trace.numProcs()),
-                config.traceLabel.empty() ? "run" : config.traceLabel);
+                static_cast<unsigned>(trace.numProcs()), label);
             next_sample_ = sampler_->nextSampleCycle();
         }
     }
@@ -186,8 +172,8 @@ Simulator::resetStatsForWarmup()
     // the post-warmup aggregates (Table 3). The reset runs with every
     // processor caught up to the barrier release in both engines,
     // so the discarded warmup attribution is identical too.
-    if (profiler_)
-        profiler_->resetForWarmup();
+    if (hooks_)
+        hooks_->resetForWarmup();
 }
 
 obs::SampleFrame
@@ -626,30 +612,16 @@ Simulator::run()
             ps.finishedAt > warmup_end_ ? ps.finishedAt - warmup_end_ : 0;
     }
     stats.bus = mem_->bus().stats();
-    // Commit the profile after the drain above: the drained writebacks'
-    // grants attributed their occupancy, so the per-line bus cycles sum
-    // exactly to the final BusStats::busyCycles.
-    if (profiler_) {
-        config_.obs->profile.commit(profiler_->take(warmup_end_));
-        profiler_.reset();
-    }
-    // The critical-path walk wants absolute retirement cycles (the
-    // recorder clamps everything to the measured window itself, so no
-    // warmup reset is needed — pre-warmup pieces simply clip away).
-    if (critpath_) {
+    // Commit after the drain above: the drained writebacks' grants
+    // attributed their occupancy, so the profile's per-line bus cycles
+    // sum exactly to the final BusStats::busyCycles. The sink stays
+    // attached (the components keep pointing at it); with its
+    // recorders committed, later events only reach the metrics.
+    if (hooks_) {
         std::vector<Cycle> finished(proc_stats_.size());
         for (std::size_t p = 0; p < proc_stats_.size(); ++p)
             finished[p] = proc_stats_[p].finishedAt;
-        config_.obs->critpath.commit(
-            critpath_->take(warmup_end_, done_at, finished));
-        critpath_.reset();
-    }
-    if (config_.obs && trace_buf_) {
-        // Ring-buffer eviction is otherwise silent; the counter makes
-        // truncated traces detectable in the telemetry document.
-        config_.obs->metrics.counter("trace.dropped_events")
-            .inc(trace_buf_->dropped());
-        config_.obs->tracer.commit(std::move(trace_buf_));
+        hooks_->commit(warmup_end_, done_at, finished);
     }
     return stats;
 }

@@ -19,6 +19,7 @@
 #include "common/types.hh"
 #include "mem/split_bus.hh"
 #include "obs/obs.hh"
+#include "obs/run_hooks.hh"
 #include "sim/memory_system.hh"
 #include "sim/processor.hh"
 #include "sim/sim_stats.hh"
@@ -271,18 +272,11 @@ class Simulator
      *  (barrier releases need the releaser's slot to settle lazily
      *  accounted barrier waits; see Processor::barrierRelease). */
     ProcId ticking_ = kNoProc;
-    /** This run's trace session; committed to the tracer by run(). */
-    std::unique_ptr<obs::TraceBuffer> trace_buf_;
-
-    /** Per-line attribution profiler (null when profiling is off); the
-     *  finished run is committed to obs->profile by run(), after the
+    /** This run's event sink (null when config.obs is null); its
+     *  recorders are committed to the ObsContext by run(), after the
      *  writeback drain so per-line bus cycles sum to the final
      *  BusStats::busyCycles. */
-    std::unique_ptr<obs::AttributionProfiler> profiler_;
-
-    /** Critical-path recorder (null when recording is off); the
-     *  finished analysis is committed to obs->critpath by run(). */
-    std::unique_ptr<obs::CritPathRecorder> critpath_;
+    std::unique_ptr<obs::RunHooks> hooks_;
 
     /** Interval time-series sampler (null when sampling is off); the
      *  finished series is committed to obs->timeseries by run(). */

@@ -3,7 +3,8 @@
  * Tests for the critical-path recorder and what-if estimator
  * (src/obs/critpath/).
  *
- * Four angles:
+ * Four angles (tests/test_obs.cc also checks neutrality with every
+ * recorder on together):
  *
  *  - hand-built traces whose binding resource is known by construction
  *    (bus-bound, lock-bound, barrier-bound): the walk must attribute

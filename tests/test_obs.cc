@@ -20,10 +20,13 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "core/result_io.hh"
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
+#include "sim/simulator.hh"
+#include "trace/workload.hh"
 
 namespace prefsim
 {
@@ -494,6 +497,309 @@ TEST(Obs, InstrumentationDoesNotChangeSimulation)
     ASSERT_NE(doc->find("sweep"), nullptr);
     EXPECT_GE(doc->find("sweep")->find("simulations_run")->asU64(), 2u);
     ASSERT_NE(doc->find("metrics"), nullptr);
+}
+
+/* ------------------------------------------------------------------ */
+/* Observer neutrality: every recorder on at once                      */
+/* ------------------------------------------------------------------ */
+
+/** Everything one observed sweep point leaves behind. */
+struct Observed
+{
+    std::string stats;      ///< Every SimStats counter (result JSON).
+    std::string telemetry;  ///< prefsim-telemetry-v1 document.
+    std::string metrics;    ///< The metrics registry object.
+    std::string profile;
+    std::string critpath;
+    std::string timeseries;
+    std::string trace;      ///< Chrome trace-event document.
+    bool observed = false;  ///< The engine built an ObsContext.
+    bool metricsEmpty = true;
+    std::size_t critpathRuns = 0;
+};
+
+/** Simulate one small PWS point of @p kind with @p options. */
+Observed
+observe(WorkloadKind kind, SimEngine engine, SweepOptions options)
+{
+    WorkloadParams p;
+    p.numProcs = 2;
+    p.refsPerProc = 500;
+    p.seed = 7;
+    options.engine = engine;
+    SweepEngine sweep(p, CacheGeometry::paperDefault(), options);
+    const ExperimentResult &r = sweep.run(kind, false, Strategy::PWS, 8);
+    Observed out;
+    std::ostringstream stats;
+    writeResultJson(stats, r, "");
+    out.stats = stats.str();
+    const ObsContext *obs = sweep.obs();
+    out.observed = obs != nullptr;
+    if (!obs)
+        return out;
+    out.metricsEmpty = obs->metrics.empty();
+    out.critpathRuns = obs->critpath.numRuns();
+    std::ostringstream tel, metrics, profile, critpath, series, trace;
+    // First: the telemetry writer registers `trace.dropped_events`, so
+    // every observed registry serialised below carries that counter.
+    sweep.writeTelemetryJson(tel);
+    {
+        JsonWriter j(metrics);
+        obs->metrics.writeJson(j);
+    }
+    sweep.writeProfileJson(profile);
+    sweep.writeCritPathJson(critpath);
+    sweep.writeTimeseriesJson(series);
+    obs->tracer.exportChromeTrace(trace);
+    out.telemetry = tel.str();
+    out.metrics = metrics.str();
+    out.profile = profile.str();
+    out.critpath = critpath.str();
+    out.timeseries = series.str();
+    out.trace = trace.str();
+    return out;
+}
+
+class ObserverNeutrality
+    : public ::testing::TestWithParam<std::tuple<WorkloadKind, SimEngine>>
+{
+};
+
+/**
+ * The observability layer's core promise, for all recorders together:
+ * with metrics, profile, critical path and time series on at once
+ * (plus the tracer in a tracing build), the simulated machine is
+ * bit-identical to the unobserved run, and every document is
+ * byte-identical to the one that recorder writes alone — so the
+ * recorders neither perturb the simulation nor each other. Interval
+ * 113 is prime, so boundaries land mid-burst and mid-transfer;
+ * interval 1 samples every cycle (the warmup rebase included).
+ */
+TEST_P(ObserverNeutrality, AllObserversMatchUnobservedAndSoloRuns)
+{
+    const auto [kind, engine] = GetParam();
+    const Observed off = observe(kind, engine, SweepOptions{});
+    EXPECT_FALSE(off.observed);
+
+    SweepOptions metrics_only;
+    metrics_only.metrics = true;
+    const Observed metrics = observe(kind, engine, metrics_only);
+    SweepOptions profile_only;
+    profile_only.profile = true;
+    const Observed profile = observe(kind, engine, profile_only);
+    SweepOptions critpath_only;
+    critpath_only.critpath = true;
+    const Observed critpath = observe(kind, engine, critpath_only);
+    SweepOptions trace_only;
+    trace_only.tracing = true;
+    const Observed trace =
+        PREFSIM_TRACING ? observe(kind, engine, trace_only) : off;
+    for (const Observed *solo : {&metrics, &profile, &critpath, &trace})
+        EXPECT_EQ(off.stats, solo->stats);
+    EXPECT_EQ(critpath.critpathRuns, 1u);
+    EXPECT_FALSE(metrics.metricsEmpty);
+
+    // Interval 1 samples every cycle, so it runs on mp3d alone (the
+    // others' runs are long enough to make it the suite's slowest).
+    std::vector<Cycle> intervals{113};
+    if (kind == WorkloadKind::Mp3d)
+        intervals.insert(intervals.begin(), 1);
+    for (const Cycle interval : intervals) {
+        SCOPED_TRACE("sample interval " + std::to_string(interval));
+        SweepOptions series_only;
+        series_only.sampleInterval = interval;
+        const Observed series = observe(kind, engine, series_only);
+        EXPECT_EQ(off.stats, series.stats)
+            << "sampling changed the simulation";
+
+        SweepOptions all;
+        all.metrics = true;
+        all.tracing = PREFSIM_TRACING != 0;
+        all.profile = true;
+        all.critpath = true;
+        all.sampleInterval = interval;
+        const Observed on = observe(kind, engine, all);
+        ASSERT_TRUE(on.observed);
+        EXPECT_FALSE(on.metricsEmpty);
+        EXPECT_EQ(on.critpathRuns, 1u);
+        EXPECT_EQ(off.stats, on.stats)
+            << "the observers changed the simulation";
+        EXPECT_EQ(on.profile, profile.profile);
+        EXPECT_EQ(on.critpath, critpath.critpath);
+        EXPECT_EQ(on.timeseries, series.timeseries);
+        // A traced run also reports its ring-buffer drops in the
+        // registry, so with the tracer on it must match the tracer-only
+        // run's registry (which carries the machine metrics too).
+        EXPECT_EQ(on.metrics, (all.tracing ? trace : metrics).metrics);
+        if (all.tracing) {
+            EXPECT_EQ(on.trace, trace.trace);
+        }
+
+        // The telemetry document carries the sweep counters and the
+        // registry.
+        const auto doc = parseJson(on.telemetry);
+        ASSERT_TRUE(doc.has_value()) << on.telemetry;
+        EXPECT_EQ(doc->find("schema")->asString(), "prefsim-telemetry-v1");
+        ASSERT_NE(doc->find("sweep"), nullptr);
+        EXPECT_EQ(doc->find("sweep")->find("simulations_run")->asU64(), 1u);
+        ASSERT_NE(doc->find("metrics"), nullptr);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, ObserverNeutrality,
+    ::testing::Combine(::testing::ValuesIn(allWorkloads()),
+                       ::testing::Values(SimEngine::LocalClock,
+                                         SimEngine::CycleLoop)),
+    [](const auto &point) {
+        return workloadName(std::get<0>(point.param)) +
+               (std::get<1>(point.param) == SimEngine::CycleLoop ? "_cycle"
+                                                                 : "_local");
+    });
+
+/* ------------------------------------------------------------------ */
+/* Machine counters against the statistics they mirror                 */
+/* ------------------------------------------------------------------ */
+
+/**
+ * A two-processor hand trace whose coherence and prefetch events are
+ * known by construction (paper geometry: 32 KB direct-mapped, so lines
+ * 32 KB apart share a set). Processor 0: a dirty line evicted by a
+ * conflicting read; a prefetch its own read catches in flight (late);
+ * a prefetched line evicted unused; two lines left Exclusive. After the
+ * barrier it prefetches a line processor 1 immediately writes (the
+ * fill is killed in flight), while processor 1 reads one Exclusive line
+ * (a downgrade) and writes the other (an invalidation).
+ */
+ParallelTrace
+countersHandTrace()
+{
+    constexpr Addr kSetStride = 32 * 1024;
+    Trace p0;
+    p0.append(TraceRecord::write(0x1000));
+    p0.append(TraceRecord::read(0x1000 + kSetStride)); // Dirty eviction.
+    p0.append(TraceRecord::prefetch(0x2000));
+    p0.append(TraceRecord::read(0x2000)); // Attaches: late prefetch.
+    p0.append(TraceRecord::prefetch(0x3000));
+    p0.appendInstrs(300); // The prefetch fills, unused...
+    p0.append(TraceRecord::read(0x3000 + kSetStride)); // ...and goes.
+    p0.append(TraceRecord::read(0x4000));
+    p0.append(TraceRecord::read(0x5000));
+    p0.append(TraceRecord::barrier(0));
+    p0.append(TraceRecord::prefetch(0x6000)); // Killed in flight.
+    p0.appendInstrs(400);
+
+    Trace p1;
+    p1.append(TraceRecord::barrier(0));
+    p1.appendInstrs(3);
+    p1.append(TraceRecord::write(0x6000));
+    p1.append(TraceRecord::read(0x4000));  // Downgrades proc 0's E copy.
+    p1.append(TraceRecord::write(0x5000)); // Invalidates proc 0's copy.
+
+    ParallelTrace pt;
+    pt.name = "counters";
+    pt.numBarriers = 1;
+    pt.procs = {p0, p1};
+    return pt;
+}
+
+std::uint64_t
+counterValue(ObsContext &obs, const std::string &name)
+{
+    return obs.metrics.counter(name).value();
+}
+
+TEST(ObsCounters, MachineRegistryMatchesStatsAndProfile)
+{
+    const ParallelTrace trace = countersHandTrace();
+    for (const SimEngine engine :
+         {SimEngine::LocalClock, SimEngine::CycleLoop}) {
+        SCOPED_TRACE(engine == SimEngine::CycleLoop ? "cycle" : "local");
+        ObsContext obs;
+        SimConfig cfg;
+        cfg.engine = engine;
+        cfg.warmupEpisodes = 0; // Registry and statistics both whole-run.
+        cfg.obs = &obs;
+        cfg.profile = true;
+        const SimStats stats = simulate(trace, cfg);
+        ASSERT_EQ(obs.profile.numRuns(), 1u);
+        const obs::ProfileRun run = obs.profile.snapshot().front();
+        const obs::ProfileTotals totals = obs::ProfileTotals::of(run);
+        std::uint64_t inflight_kills = 0;
+        for (const auto &[addr, line] : run.lines)
+            inflight_kills += line.inflightKills;
+        std::uint64_t late = 0;
+        for (const ProcStats &ps : stats.procs)
+            late += ps.misses.prefetchInProgress;
+
+        // Coherence: resident kills + in-flight kills; every killed
+        // fill arrives dead.
+        EXPECT_EQ(counterValue(obs, "coherence.invalidations"), 2u);
+        EXPECT_EQ(counterValue(obs, "coherence.invalidations"),
+                  totals.invalidations + inflight_kills);
+        EXPECT_EQ(counterValue(obs, "coherence.downgrades"), 1u);
+        EXPECT_EQ(counterValue(obs, "coherence.downgrades"),
+                  totals.downgrades);
+        EXPECT_EQ(counterValue(obs, "coherence.dead_fills"), 1u);
+        EXPECT_EQ(counterValue(obs, "coherence.dead_fills"),
+                  inflight_kills);
+
+        // Prefetch lateness: one demand caught its prefetch in flight.
+        EXPECT_EQ(counterValue(obs, "prefetch.late_demand_attach"), 1u);
+        EXPECT_EQ(counterValue(obs, "prefetch.late_demand_attach"), late);
+        EXPECT_EQ(counterValue(obs, "prefetch.late_demand_attach"),
+                  totals.pfLate);
+        EXPECT_EQ(obs.metrics
+                      .histogram("prefetch.lateness_cycles",
+                                 obs::powerOfTwoBounds(14))
+                      .count(),
+                  1u);
+
+        // Evictions: one dirty (its writeback is the only one), one
+        // unused prefetch.
+        EXPECT_EQ(counterValue(obs, "cache.evictions"), 2u);
+        EXPECT_EQ(counterValue(obs, "cache.evictions_dirty"), 1u);
+        EXPECT_EQ(counterValue(obs, "cache.evictions_dirty"),
+                  stats.bus.opCount[static_cast<unsigned>(
+                      BusOpKind::WriteBack)]);
+        EXPECT_EQ(counterValue(obs, "cache.evictions_prefetch_unused"), 1u);
+        EXPECT_EQ(counterValue(obs, "cache.evictions_prefetch_unused"),
+                  totals.pfDisplaced);
+
+        // One arbitration-wait sample per data-bus grant of each class.
+        EXPECT_EQ(obs.metrics
+                      .histogram("bus.arb_wait_demand",
+                                 obs::powerOfTwoBounds(14))
+                      .count(),
+                  stats.bus.grantsDemand);
+        EXPECT_EQ(obs.metrics
+                      .histogram("bus.arb_wait_prefetch",
+                                 obs::powerOfTwoBounds(14))
+                      .count(),
+                  stats.bus.grantsPrefetch);
+        EXPECT_GT(stats.bus.grantsPrefetch, 0u);
+    }
+}
+
+TEST(ObsDocuments, UnobservedSweepWritesEmptyDocuments)
+{
+    // No ObsContext: each per-run writer still emits a valid document
+    // with an empty runs array.
+    WorkloadParams p;
+    p.numProcs = 2;
+    p.refsPerProc = 200;
+    SweepEngine sweep(p, CacheGeometry::paperDefault(), SweepOptions{});
+    ASSERT_EQ(sweep.obs(), nullptr);
+    std::ostringstream series, profile, critpath;
+    sweep.writeTimeseriesJson(series);
+    sweep.writeProfileJson(profile);
+    sweep.writeCritPathJson(critpath);
+    EXPECT_EQ(series.str(),
+              "{\"schema\":\"prefsim-timeseries-v1\",\"runs\":[]}\n");
+    EXPECT_EQ(profile.str(),
+              "{\"schema\":\"prefsim-profile-v1\",\"runs\":[]}\n");
+    EXPECT_EQ(critpath.str(),
+              "{\"schema\":\"prefsim-critpath-v1\",\"runs\":[]}\n");
 }
 
 #if PREFSIM_TRACING

@@ -219,6 +219,7 @@ TEST(ProfileSweep, CacheHitLeavesSkipMarker)
     options.cacheDir = cache_dir.string();
     options.profile = true;
     options.sampleInterval = 5000;
+    options.critpath = true;
 
     std::string fresh_doc;
     {
@@ -233,19 +234,21 @@ TEST(ProfileSweep, CacheHitLeavesSkipMarker)
     EXPECT_NE(fresh_doc.find("\"lines\""), std::string::npos);
     EXPECT_EQ(fresh_doc.find("cache-hit"), std::string::npos);
 
-    // Second engine over the same cache: the point is a hit, and both
-    // per-run documents must record that explicitly.
+    // Second engine over the same cache: the point is a hit, and every
+    // per-run document must record that explicitly.
     SweepEngine engine(p, CacheGeometry::paperDefault(), options);
     engine.enqueue(WorkloadKind::Mp3d, false, Strategy::PWS, 8);
     engine.runPending();
     EXPECT_EQ(engine.counters().cacheHits, 1u);
-    std::ostringstream profile_os, series_os;
+    std::ostringstream profile_os, series_os, critpath_os;
     engine.writeProfileJson(profile_os);
     engine.writeTimeseriesJson(series_os);
-    EXPECT_NE(profile_os.str().find("\"skipped\":\"cache-hit\""),
-              std::string::npos);
-    EXPECT_NE(series_os.str().find("\"skipped\":\"cache-hit\""),
-              std::string::npos);
+    engine.writeCritPathJson(critpath_os);
+    for (const std::string &doc :
+         {profile_os.str(), series_os.str(), critpath_os.str()}) {
+        EXPECT_NE(doc.find("\"skipped\":\"cache-hit\""), std::string::npos)
+            << doc;
+    }
 
     fs::remove_all(cache_dir);
 }

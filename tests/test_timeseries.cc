@@ -4,8 +4,8 @@
  * analysis library.
  *
  * The load-bearing contracts:
- *  - sampling must not perturb simulation results at all — statistics
- *    with sampling on (any interval) are bit-identical to sampling off;
+ *  - sampling must not perturb simulation results at all (asserted for
+ *    every observer together in tests/test_obs.cc);
  *  - both engines emit *byte-identical* `prefsim-timeseries-v1`
  *    JSON: the local-clock core clamps its frontier jumps to sample
  *    boundaries, catches every lagging local clock up to each boundary
@@ -48,7 +48,7 @@ using obs::TimeSeries;
 using obs::TimeSeriesStore;
 
 /* ------------------------------------------------------------------ */
-/* Engine identity and non-perturbation                                */
+/* Engine identity                                                     */
 /* ------------------------------------------------------------------ */
 
 /** Serialise the stats fields the paper's results depend on. */
@@ -126,27 +126,6 @@ TEST_P(TimeseriesEngineIdentity, SeriesAndStatsBitIdentical)
 INSTANTIATE_TEST_SUITE_P(Intervals, TimeseriesEngineIdentity,
                          ::testing::Values(Cycle{1}, Cycle{97},
                                            Cycle{1} << 30));
-
-TEST(TimeseriesSampling, DoesNotPerturbSimulation)
-{
-    const ParallelTrace trace = smallWorkload(Strategy::PWS);
-    SimConfig cfg;
-    cfg.timing.dataTransfer = 8;
-
-    for (const SimEngine engine :
-         {SimEngine::CycleLoop, SimEngine::LocalClock}) {
-        SimConfig plain = cfg;
-        plain.engine = engine;
-        const std::string off = statsFingerprint(simulate(trace, plain));
-        for (const Cycle interval : {Cycle{1}, Cycle{113}}) {
-            const auto [stats, json] =
-                runSampled(trace, cfg, engine, interval);
-            EXPECT_EQ(off, statsFingerprint(stats))
-                << "sampling at interval " << interval
-                << " changed the simulation";
-        }
-    }
-}
 
 /* ------------------------------------------------------------------ */
 /* IntervalSampler unit tests                                          */
