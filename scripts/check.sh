@@ -246,7 +246,16 @@ if "$BUILD"/tools/prefsim_verify --caches 2 --mutation skip-invalidate \
     exit 1
 fi
 grep -q "counterexample" "$CACHE/mutation.out"
-echo "ok: seeded mutation detected with counterexample"
+# A fill that skips the snoop holder mask must trip the snoop-filter
+# predicate (later snoops would otherwise miss its copy).
+if "$BUILD"/tools/prefsim_verify --caches 2 --mutation skip-holder-mark \
+    > "$CACHE/mutation_mask.out" 2>&1; then
+    echo "FAIL: seeded holder-mask mutation was not detected" >&2
+    exit 1
+fi
+grep -q "coherence.snoop_filter" "$CACHE/mutation_mask.out"
+grep -q "counterexample" "$CACHE/mutation_mask.out"
+echo "ok: seeded mutations detected with counterexamples"
 
 stage "trace lint (five generators)"
 "$BUILD"/tools/prefsim_lint --gen all

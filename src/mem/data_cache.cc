@@ -32,97 +32,6 @@ DataCache::DataCache(ProcId owner, const CacheGeometry &geom,
       victim_use_(victim_entries, 0)
 {}
 
-CacheFrame *
-DataCache::findFrame(Addr addr)
-{
-    const Addr tag = geom_.lineBase(addr);
-    const std::uint32_t base = geom_.frameBase(addr);
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (frames_[base + w].tag == tag)
-            return &frames_[base + w];
-    }
-    return nullptr;
-}
-
-const CacheFrame *
-DataCache::findFrame(Addr addr) const
-{
-    return const_cast<DataCache *>(this)->findFrame(addr);
-}
-
-CacheFrame *
-DataCache::findVictim(Addr addr)
-{
-    const Addr tag = geom_.lineBase(addr);
-    for (auto &v : victim_) {
-        if (v.tag == tag)
-            return &v;
-    }
-    return nullptr;
-}
-
-CacheFrame *
-DataCache::findAny(Addr addr)
-{
-    if (CacheFrame *f = findFrame(addr))
-        return f;
-    return findVictim(addr);
-}
-
-bool
-DataCache::resident(Addr addr) const
-{
-    const CacheFrame *f = findFrame(addr);
-    return f != nullptr && isValid(f->state);
-}
-
-LineState
-DataCache::stateOf(Addr addr) const
-{
-    const CacheFrame *f = findFrame(addr);
-    return f ? f->state : LineState::Invalid;
-}
-
-LineState
-DataCache::stateAnywhere(Addr addr) const
-{
-    if (const CacheFrame *f = findFrame(addr))
-        return f->state;
-    const CacheFrame *v =
-        const_cast<DataCache *>(this)->findVictim(addr);
-    return v ? v->state : LineState::Invalid;
-}
-
-void
-DataCache::touch(Addr addr)
-{
-    const Addr tag = geom_.lineBase(addr);
-    const std::uint32_t base = geom_.frameBase(addr);
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (frames_[base + w].tag == tag) {
-            last_use_[base + w] = ++use_clock_;
-            return;
-        }
-    }
-}
-
-Mshr *
-DataCache::findMshr(Addr addr)
-{
-    const Addr base = geom_.lineBase(addr);
-    for (auto &m : mshrs_) {
-        if (m.lineBase == base)
-            return &m;
-    }
-    return nullptr;
-}
-
-const Mshr *
-DataCache::findMshr(Addr addr) const
-{
-    return const_cast<DataCache *>(this)->findMshr(addr);
-}
-
 bool
 DataCache::prefetchMshrAvailable() const
 {
@@ -317,23 +226,6 @@ DataCache::parkPrefetchedLine(Addr line_base, LineState state)
     }
     pdb_[slot].beginResidency(line_base, state, /*by_prefetch=*/true);
     pdb_use_[slot] = ++use_clock_;
-}
-
-CacheFrame *
-DataCache::findParked(Addr addr)
-{
-    const Addr tag = geom_.lineBase(addr);
-    for (auto &e : pdb_) {
-        if (e.tag == tag && isValid(e.state))
-            return &e;
-    }
-    return nullptr;
-}
-
-const CacheFrame *
-DataCache::findParked(Addr addr) const
-{
-    return const_cast<DataCache *>(this)->findParked(addr);
 }
 
 CacheFrame *

@@ -87,34 +87,111 @@ class DataCache
     const CacheGeometry &geometry() const { return geom_; }
     ProcId owner() const { return owner_; }
 
-    /** @name Frame lookup. @{ */
+    /** @name Frame lookup.
+     * Defined inline: the snoop and quiet-hit paths call these several
+     * times per simulated reference.
+     * @{ */
     /** Frame in the cache proper whose tag matches @p addr's line
      *  (any state, including Invalid), or nullptr. */
-    CacheFrame *findFrame(Addr addr);
-    const CacheFrame *findFrame(Addr addr) const;
+    CacheFrame *
+    findFrame(Addr addr)
+    {
+        const Addr tag = geom_.lineBase(addr);
+        const std::uint32_t base = geom_.frameBase(addr);
+        for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
+            if (frames_[base + w].tag == tag)
+                return &frames_[base + w];
+        }
+        return nullptr;
+    }
+    const CacheFrame *
+    findFrame(Addr addr) const
+    {
+        return const_cast<DataCache *>(this)->findFrame(addr);
+    }
 
     /** Victim-buffer entry for @p addr's line, or nullptr. */
-    CacheFrame *findVictim(Addr addr);
+    CacheFrame *
+    findVictim(Addr addr)
+    {
+        if (victim_.empty())
+            return nullptr;
+        const Addr tag = geom_.lineBase(addr);
+        for (auto &v : victim_) {
+            if (v.tag == tag)
+                return &v;
+        }
+        return nullptr;
+    }
+    const CacheFrame *
+    findVictim(Addr addr) const
+    {
+        return const_cast<DataCache *>(this)->findVictim(addr);
+    }
 
     /** Cache-proper frame or victim entry (a line is never in both). */
-    CacheFrame *findAny(Addr addr);
+    CacheFrame *
+    findAny(Addr addr)
+    {
+        if (CacheFrame *f = findFrame(addr))
+            return f;
+        return findVictim(addr);
+    }
 
     /** True iff the line is resident and valid in the cache proper. */
-    bool resident(Addr addr) const;
+    bool
+    resident(Addr addr) const
+    {
+        const CacheFrame *f = findFrame(addr);
+        return f != nullptr && isValid(f->state);
+    }
 
     /** State of the line in the cache proper (Invalid if absent). */
-    LineState stateOf(Addr addr) const;
+    LineState
+    stateOf(Addr addr) const
+    {
+        const CacheFrame *f = findFrame(addr);
+        return f ? f->state : LineState::Invalid;
+    }
 
     /** State of the line anywhere (cache proper or victim buffer). */
-    LineState stateAnywhere(Addr addr) const;
+    LineState
+    stateAnywhere(Addr addr) const
+    {
+        if (const CacheFrame *f = findFrame(addr))
+            return f->state;
+        const CacheFrame *v = findVictim(addr);
+        return v ? v->state : LineState::Invalid;
+    }
 
     /** Record an LRU touch on the frame holding @p addr (hit path). */
-    void touch(Addr addr);
+    void
+    touch(Addr addr)
+    {
+        if (const CacheFrame *f = findFrame(addr))
+            last_use_[static_cast<std::size_t>(f - frames_.data())] =
+                ++use_clock_;
+    }
     /** @} */
 
     /** @name MSHRs. @{ */
-    Mshr *findMshr(Addr addr);
-    const Mshr *findMshr(Addr addr) const;
+    Mshr *
+    findMshr(Addr addr)
+    {
+        if (mshrs_.empty())
+            return nullptr;
+        const Addr base = geom_.lineBase(addr);
+        for (auto &m : mshrs_) {
+            if (m.lineBase == base)
+                return &m;
+        }
+        return nullptr;
+    }
+    const Mshr *
+    findMshr(Addr addr) const
+    {
+        return const_cast<DataCache *>(this)->findMshr(addr);
+    }
 
     /** True if a new prefetch MSHR may be allocated. */
     bool prefetchMshrAvailable() const;
@@ -179,8 +256,23 @@ class DataCache
     void parkPrefetchedLine(Addr line_base, LineState state);
 
     /** The buffered entry for @p addr, or nullptr. */
-    CacheFrame *findParked(Addr addr);
-    const CacheFrame *findParked(Addr addr) const;
+    CacheFrame *
+    findParked(Addr addr)
+    {
+        if (pdb_.empty())
+            return nullptr;
+        const Addr tag = geom_.lineBase(addr);
+        for (auto &e : pdb_) {
+            if (e.tag == tag && isValid(e.state))
+                return &e;
+        }
+        return nullptr;
+    }
+    const CacheFrame *
+    findParked(Addr addr) const
+    {
+        return const_cast<DataCache *>(this)->findParked(addr);
+    }
 
     /**
      * Promote a parked line into the cache proper.

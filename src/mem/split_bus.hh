@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -129,18 +128,13 @@ struct BusStats
 /**
  * The split-transaction bus scheduler.
  *
- * Owns no coherence logic: callers snoop at request time and register a
- * completion callback to install fills and wake processors.
+ * Owns no coherence logic: callers snoop at request time and pass a
+ * completion sink to tick(), which installs fills and wakes processors.
  */
 class SplitBus
 {
   public:
-    using CompletionFn = std::function<void(const Transaction &, Cycle)>;
-
     SplitBus(const BusTiming &timing, unsigned num_procs);
-
-    /** Install the completion callback (one sink: the memory system). */
-    void setCompletion(CompletionFn fn) { completion_ = std::move(fn); }
 
     /**
      * Enter @p t into the bus system at cycle @p now.
@@ -155,11 +149,49 @@ class SplitBus
     void promoteToDemand(std::uint64_t id);
 
     /**
-     * Advance to cycle @p now: grant the data bus, fire completions.
+     * Advance to cycle @p now: fire completions, then grant the data
+     * bus. Each completed transaction is handed to @p sink as
+     * sink(const Transaction &, Cycle now) — a template argument, so
+     * the memory system's dispatcher is a direct call.
      * @return the number of completions fired this cycle (the verify
      *         layer steps the machine completion-by-completion).
      */
-    unsigned tick(Cycle now);
+    template <typename Sink>
+    unsigned
+    tick(Cycle now, Sink &&sink)
+    {
+        unsigned completed = 0;
+        // Complete address-class operations whose fixed latency elapsed.
+        for (std::size_t i = 0; i < addr_ops_.size();) {
+            if (now >= addr_ops_[i].readyAt) {
+                const Transaction done = addr_ops_[i].txn;
+                if (hooks_)
+                    notifyComplete(addr_ops_[i], now);
+                addr_ops_.erase(addr_ops_.begin() +
+                                static_cast<std::ptrdiff_t>(i));
+                ++completed;
+                sink(done, now);
+            } else {
+                ++i;
+            }
+        }
+        // Finish transfers whose occupancy has elapsed.
+        for (std::size_t i = 0; i < active_.size();) {
+            if (now >= active_[i].endsAt) {
+                const Transaction done = active_[i].pending.txn;
+                if (hooks_)
+                    notifyComplete(active_[i].pending, now);
+                active_.erase(active_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+                ++completed;
+                sink(done, now);
+            } else {
+                ++i;
+            }
+        }
+        grantChannels(now);
+        return completed;
+    }
 
     /** True if any transaction is pending or in transfer. */
     bool busy() const;
@@ -285,9 +317,15 @@ class SplitBus
     /** Pick the next ready transaction per arbitration policy. */
     int pickNext(Cycle now);
 
+    /** Report a completion to the attached event sink (out of line:
+     *  the unobserved tick() keeps only the null check). */
+    void notifyComplete(const Pending &done, Cycle now);
+
+    /** Grant free data channels at @p now (the second half of tick()). */
+    void grantChannels(Cycle now);
+
     BusTiming timing_;
     unsigned num_procs_;
-    CompletionFn completion_;
 
     std::vector<Pending> waiting_; ///< Ready or in memory phase.
     std::vector<Active> active_;   ///< In transfer (<= dataChannels).

@@ -1,6 +1,7 @@
 #include "sim/memory_system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "obs/run_hooks.hh"
@@ -23,6 +24,8 @@ MemorySystem::MemorySystem(unsigned num_procs, const CacheGeometry &geom,
 {
     prefsim_assert(proc_stats.size() == num_procs,
                    "proc stats size mismatch");
+    prefsim_assert(num_procs <= 32,
+                   "the snoop holder mask covers at most 32 caches");
     caches_.reserve(num_procs);
     for (ProcId p = 0; p < num_procs; ++p) {
         caches_.push_back(std::make_unique<DataCache>(
@@ -30,8 +33,6 @@ MemorySystem::MemorySystem(unsigned num_procs, const CacheGeometry &geom,
         if (pdb_entries_ > 0)
             caches_.back()->configurePrefetchDataBuffer(pdb_entries_);
     }
-    bus_.setCompletion(
-        [this](const Transaction &t, Cycle now) { onBusComplete(t, now); });
 }
 
 void
@@ -43,68 +44,114 @@ MemorySystem::setHooks(obs::RunHooks *h)
         c->setHooks(h);
 }
 
+namespace
+{
+
+constexpr std::uint32_t
+procBit(ProcId p)
+{
+    return std::uint32_t{1} << p;
+}
+
+/** Lowest set processor of a non-empty holder mask. */
+ProcId
+lowestHolder(std::uint32_t mask)
+{
+    return static_cast<ProcId>(std::countr_zero(mask));
+}
+
+} // namespace
+
+std::uint32_t &
+MemorySystem::HolderTable::grow(Addr line_base)
+{
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot &s : old) {
+        if (s.key == kNoAddr)
+            continue;
+        std::size_t i = home(s.key);
+        while (slots_[i].key != kNoAddr)
+            i = next(i);
+        slots_[i] = s;
+    }
+    return at(line_base);
+}
+
+bool
+MemorySystem::holdsLive(ProcId p, Addr line_base) const
+{
+    const DataCache &c = *caches_[p];
+    if (isValid(c.stateAnywhere(line_base)))
+        return true;
+    // The real buffer is non-snooping, but the neutralisation model
+    // keeps parked copies downgradable — so the requester's state
+    // choice must count them, or it takes Exclusive beside a parked
+    // copy that a later promotion silently makes resident. findParked()
+    // only returns valid entries.
+    if (c.findParked(line_base) != nullptr)
+        return true;
+    const Mshr *m = c.findMshr(line_base);
+    return m != nullptr && !m->arriveInvalid;
+}
+
 MemorySystem::SnoopSummary
-MemorySystem::probeOthers(ProcId requester, Addr line_base) const
+MemorySystem::probeOthers(ProcId requester, Addr line_base,
+                          std::uint32_t &holders)
 {
     SnoopSummary s;
-    for (ProcId p = 0; p < caches_.size(); ++p) {
-        if (p == requester)
-            continue;
-        const DataCache &c = *caches_[p];
-        if (isValid(c.stateAnywhere(line_base))) {
+    for (std::uint32_t rest = holders & ~procBit(requester); rest != 0;
+         rest &= rest - 1) {
+        const ProcId p = lowestHolder(rest);
+        if (holdsLive(p, line_base)) {
             s.anyCopy = true;
             break;
         }
-        // The real buffer is non-snooping, but the neutralisation model
-        // keeps parked copies downgradable — so the requester's state
-        // choice must count them, or it takes Exclusive beside a parked
-        // copy that a later promotion silently makes resident.
-        if (const CacheFrame *parked = c.findParked(line_base)) {
-            if (isValid(parked->state)) {
-                s.anyCopy = true;
-                break;
-            }
-        }
-        const Mshr *m = c.findMshr(line_base);
-        if (m && !m->arriveInvalid) {
-            s.anyCopy = true;
-            break;
-        }
+        holders &= ~procBit(p); // A stale bit: the line left p.
     }
     return s;
 }
 
+// The two snoop loops below visit only the holders of the line, in
+// ascending processor order. A cache outside the mask holds nothing
+// live, and for such a cache the full broadcast did nothing at all —
+// no catch-up, no state change, no hook event — so skipping it is
+// exact (docs/simcore.md, "Snoop holder mask").
+
 void
-MemorySystem::downgradeOthers(ProcId requester, Addr line_base, Cycle now)
+MemorySystem::downgradeOthers(ProcId requester, Addr line_base,
+                              std::uint32_t &holders, Cycle now)
 {
     if (mutation_ == ProtocolMutation::SkipDowngrade)
         return; // Seeded bug (verification only): remote reads ignored.
-    for (ProcId p = 0; p < caches_.size(); ++p) {
-        if (p == requester)
-            continue;
+    for (std::uint32_t rest = holders & ~procBit(requester); rest != 0;
+         rest &= rest - 1) {
+        const ProcId p = lowestHolder(rest);
         DataCache &c = *caches_[p];
         CacheFrame *f = c.findAny(line_base);
         CacheFrame *parked = c.findParked(line_base);
         Mshr *m = c.findMshr(line_base);
+        if (!(f && isValid(f->state)) && parked == nullptr &&
+            !(m && !m->arriveInvalid)) {
+            holders &= ~procBit(p); // A stale bit: the line left p.
+            continue;
+        }
         // Replay p's pending quiet work before mutating its cache: the
         // quiet hits logically precede this bus-ordered event. The
         // lookups above survive the catch-up — quiet work never
         // changes residency, parked entries, or MSHRs.
-        if (catch_up_ && ((f && isValid(f->state)) || parked != nullptr ||
-                          (m && !m->arriveInvalid)))
+        if (catch_up_)
             catch_up_(p);
-        if (f != nullptr) {
-            if (isValid(f->state)) {
-                if (isPrivate(f->state)) {
-                    // Losing M/E shrinks the owner's quiet-write set.
-                    ++cache_version_[p];
-                    if (hooks_)
-                        hooks_->downgrade(p, line_base, requester, now);
-                }
-                // Illinois: an M owner flushes while supplying the line;
-                // the transfer itself is the requester's bus operation.
-                f->state = LineState::Shared;
+        if (f != nullptr && isValid(f->state)) {
+            if (isPrivate(f->state)) {
+                // Losing M/E shrinks the owner's quiet-write set.
+                ++cache_version_[p];
+                if (hooks_)
+                    hooks_->downgrade(p, line_base, requester, now);
             }
+            // Illinois: an M owner flushes while supplying the line;
+            // the transfer itself is the requester's bus operation.
+            f->state = LineState::Shared;
         }
         if (parked != nullptr) {
             // A non-snooping buffer would not see this downgrade; count
@@ -125,40 +172,41 @@ MemorySystem::downgradeOthers(ProcId requester, Addr line_base, Cycle now)
 
 void
 MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
-                               std::uint32_t word, Cycle now)
+                               std::uint32_t word, std::uint32_t &holders,
+                               Cycle now)
 {
     if (mutation_ == ProtocolMutation::SkipInvalidate)
         return; // Seeded bug (verification only): remote copies survive.
-    for (ProcId p = 0; p < caches_.size(); ++p) {
-        if (p == requester)
-            continue;
+    for (std::uint32_t rest = holders & ~procBit(requester); rest != 0;
+         rest &= rest - 1) {
+        const ProcId p = lowestHolder(rest);
         DataCache &c = *caches_[p];
         CacheFrame *f = c.findAny(line_base);
         CacheFrame *parked = c.findParked(line_base);
         Mshr *m = c.findMshr(line_base);
+        if (!(f && isValid(f->state)) && parked == nullptr &&
+            !(m && !m->arriveInvalid))
+            continue; // A stale bit, cleared below.
         // Replay p's pending quiet work before mutating its cache (and
         // before the access-mask read below: false-sharing attribution
         // depends on the words p touched *up to* this invalidation).
         // The lookups survive the catch-up — quiet work never changes
         // residency, parked entries, or MSHRs.
-        if (catch_up_ && ((f && isValid(f->state)) || parked != nullptr ||
-                          (m && !m->arriveInvalid)))
+        if (catch_up_)
             catch_up_(p);
-        if (f != nullptr) {
-            if (isValid(f->state)) {
-                ++cache_version_[p]; // The copy stops hitting quietly.
-                // False sharing: the invalidating write targets a word
-                // this processor never touched in the residency (§4.4).
-                f->invalFalseSharing = (f->accessMask >> word & 1u) == 0;
-                const bool kills_prefetch =
-                    f->broughtByPrefetch && !f->usedSinceFill;
-                if (kills_prefetch)
-                    c.markPrefetchLost(line_base);
-                if (hooks_)
-                    hooks_->invalidate(p, line_base, requester, now,
-                                       f->invalFalseSharing, kills_prefetch);
-                f->state = LineState::Invalid;
-            }
+        if (f != nullptr && isValid(f->state)) {
+            ++cache_version_[p]; // The copy stops hitting quietly.
+            // False sharing: the invalidating write targets a word
+            // this processor never touched in the residency (§4.4).
+            f->invalFalseSharing = (f->accessMask >> word & 1u) == 0;
+            const bool kills_prefetch =
+                f->broughtByPrefetch && !f->usedSinceFill;
+            if (kills_prefetch)
+                c.markPrefetchLost(line_base);
+            if (hooks_)
+                hooks_->invalidate(p, line_base, requester, now,
+                                   f->invalFalseSharing, kills_prefetch);
+            f->state = LineState::Invalid;
         }
         if (parked != nullptr) {
             // A non-snooping buffer would have served this stale line;
@@ -184,6 +232,17 @@ MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
                                      m->isPrefetch);
         }
     }
+    // Nothing of the line stays live outside the requester.
+    holders &= procBit(requester);
+}
+
+Mshr &
+MemorySystem::allocateFill(ProcId proc, Addr line_base, LineState target,
+                           bool is_prefetch, std::uint32_t &holders)
+{
+    if (mutation_ != ProtocolMutation::SkipHolderMark)
+        holders |= procBit(proc);
+    return caches_[proc]->allocateMshr(line_base, target, is_prefetch);
 }
 
 AccessResult
@@ -224,7 +283,7 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
         t.issuedAt = now;
         if (protocol_ == CoherenceProtocol::WriteInvalidate) {
             t.kind = BusOpKind::Upgrade;
-            invalidateOthers(proc, base, word, now);
+            invalidateOthers(proc, base, word, holders_.at(base), now);
         } else {
             t.kind = BusOpKind::WriteUpdate;
             // Receivers keep their copies; memory is updated by the
@@ -302,7 +361,10 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
         matching = c.findVictim(addr);
     const bool inval_miss = classifyMiss(proc, matching, base, lost);
 
-    const SnoopSummary snoop = probeOthers(proc, base);
+    // One table lookup serves the whole miss: nothing below inserts
+    // another line before allocateFill() marks this one.
+    std::uint32_t &holders = holders_.at(base);
+    const SnoopSummary snoop = probeOthers(proc, base, holders);
     Transaction t;
     t.requester = proc;
     t.lineBase = base;
@@ -313,19 +375,20 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
     if (is_write && protocol_ == CoherenceProtocol::WriteInvalidate) {
         t.kind = BusOpKind::ReadExclusive;
         target = LineState::Modified;
-        invalidateOthers(proc, base, word, now);
+        invalidateOthers(proc, base, word, holders, now);
     } else if (is_write) {
         // Write-update: fetch the line shared; the retried write then
         // upgrades silently (alone) or broadcasts an update (shared).
         t.kind = BusOpKind::ReadShared;
         target = snoop.anyCopy ? LineState::Shared : LineState::Modified;
-        downgradeOthers(proc, base, now);
+        downgradeOthers(proc, base, holders, now);
     } else {
         t.kind = BusOpKind::ReadShared;
         target = snoop.anyCopy ? LineState::Shared : LineState::Exclusive;
-        downgradeOthers(proc, base, now);
+        downgradeOthers(proc, base, holders, now);
     }
-    Mshr &m = c.allocateMshr(base, target, /*is_prefetch=*/false);
+    Mshr &m = allocateFill(proc, base, target, /*is_prefetch=*/false,
+                           holders);
     m.demandWaiting = true;
     m.demandWord = word;
     m.busId = bus_.request(t, now);
@@ -366,7 +429,8 @@ MemorySystem::prefetchAccess(ProcId proc, Addr addr, bool exclusive,
         return PrefetchResult::BufferFull;
 
     const std::uint32_t word = geom_.wordInLine(addr);
-    const SnoopSummary snoop = probeOthers(proc, base);
+    std::uint32_t &holders = holders_.at(base);
+    const SnoopSummary snoop = probeOthers(proc, base, holders);
     Transaction t;
     t.requester = proc;
     t.lineBase = base;
@@ -379,13 +443,14 @@ MemorySystem::prefetchAccess(ProcId proc, Addr addr, bool exclusive,
         // Illinois private-clean state (§3.3).
         t.kind = BusOpKind::ReadExclusive;
         target = LineState::Exclusive;
-        invalidateOthers(proc, base, word, now);
+        invalidateOthers(proc, base, word, holders, now);
     } else {
         t.kind = BusOpKind::ReadShared;
         target = snoop.anyCopy ? LineState::Shared : LineState::Exclusive;
-        downgradeOthers(proc, base, now);
+        downgradeOthers(proc, base, holders, now);
     }
-    Mshr &m = c.allocateMshr(base, target, /*is_prefetch=*/true);
+    Mshr &m = allocateFill(proc, base, target, /*is_prefetch=*/true,
+                           holders);
     m.busId = bus_.request(t, now);
     if (hooks_)
         hooks_->prefetchIssue(proc, m.busId, base, now, exclusive);
@@ -461,7 +526,9 @@ MemorySystem::onBusComplete(const Transaction &txn, Cycle now)
             // remote read slipped in since (it saw our copy and took
             // Shared), the written line was flushed and stays Shared;
             // otherwise we own it dirty.
-            f->state = probeOthers(txn.requester, txn.lineBase).anyCopy
+            f->state = probeOthers(txn.requester, txn.lineBase,
+                                   holders_.at(txn.lineBase))
+                               .anyCopy
                            ? LineState::Shared
                            : LineState::Modified;
             PREFSIM_VERIFY_MEM_LINE(*this, txn.lineBase);
@@ -670,6 +737,17 @@ MemorySystem::checkLineInvariantDetail(Addr addr, std::string *why) const
             return violate("bus.upgrade_consistency: bus upgrade for "
                            "cache " + std::to_string(p) +
                            " without a pending upgrade");
+    }
+
+    // Snoop filter: the holder mask is a superset of the caches holding
+    // anything live for the line, or a snoop would skip a real copy.
+    const std::uint32_t holders = holders_.get(base);
+    for (ProcId p = 0; p < caches_.size(); ++p) {
+        if (holdsLive(p, base) && (holders & procBit(p)) == 0)
+            return violate("coherence.snoop_filter: cache " +
+                           std::to_string(p) +
+                           " holds the line live but is missing from its "
+                           "snoop holder mask");
     }
     return true;
 }

@@ -68,6 +68,8 @@ enum class ProtocolMutation : std::uint8_t
     SkipDowngrade,  ///< Remote reads leave private (M/E) copies intact.
     KeepStaleMshrTarget, ///< In-flight private fills keep exclusivity
                          ///< when a remote read should downgrade them.
+    SkipHolderMark, ///< New fills never mark their cache in the snoop
+                    ///< holder mask, so later snoops skip it.
 };
 
 /** Outcome of a demand access. */
@@ -164,7 +166,13 @@ class MemorySystem
      * Advance the bus one cycle (completions fire wake callbacks).
      * @return the number of bus completions fired (verification).
      */
-    unsigned tick(Cycle now) { return bus_.tick(now); }
+    unsigned
+    tick(Cycle now)
+    {
+        return bus_.tick(now, [this](const Transaction &t, Cycle c) {
+            onBusComplete(t, c);
+        });
+    }
 
     /** Zero the bus statistics (warmup exclusion). */
     void resetBusStats() { bus_.resetStats(); }
@@ -296,12 +304,26 @@ class MemorySystem
      * copy, no private copy coexisting with any other valid copy or
      * live in-flight fill), at most one live exclusive intent counting
      * in-flight private fills, MSHR/bus-transaction bijection (no lost
-     * or duplicated fills), and pending-upgrade/bus consistency.
+     * or duplicated fills), pending-upgrade/bus consistency, and the
+     * snoop filter (every live holder is in the line's holder mask).
      * @return true when every predicate holds; otherwise false with the
      *         first violated predicate described in @p why (non-null).
      */
     bool checkLineInvariantDetail(Addr addr,
                                   std::string *why = nullptr) const;
+
+    /**
+     * Snoop holder mask of @p addr's line: bit p is set for every cache
+     * p that may hold anything live for the line (a valid frame or
+     * victim entry, a valid parked entry, or an MSHR whose fill is not
+     * arriving dead). A superset: stale bits are cleared lazily by the
+     * snoops that visit them. See docs/simcore.md, "Snoop holder mask".
+     */
+    std::uint32_t
+    snoopHolders(Addr addr) const
+    {
+        return holders_.get(geom_.lineBase(addr));
+    }
 
     /** Pending write-upgrade line of @p proc (kNoAddr when none). */
     Addr pendingUpgrade(ProcId proc) const
@@ -317,25 +339,114 @@ class MemorySystem
     ProtocolMutation protocolMutation() const { return mutation_; }
 
   private:
+    /**
+     * Flat open-addressing map from line base to its snoop holder mask
+     * (linear probing, power-of-two capacity, never above half full).
+     * Entries are never removed: a line whose mask drops to zero keeps
+     * its slot, so the table is bounded by the run's line footprint.
+     */
+    class HolderTable
+    {
+      public:
+        HolderTable() : slots_(kInitialSlots) {}
+
+        /** Mask of @p line_base (0 when the line was never marked). */
+        std::uint32_t
+        get(Addr line_base) const
+        {
+            for (std::size_t i = home(line_base);; i = next(i)) {
+                const Slot &s = slots_[i];
+                if (s.key == line_base)
+                    return s.mask;
+                if (s.key == kNoAddr)
+                    return 0;
+            }
+        }
+
+        /** Mask slot of @p line_base, inserted empty when absent. The
+         *  reference stays valid until the next insertion. */
+        std::uint32_t &
+        at(Addr line_base)
+        {
+            for (std::size_t i = home(line_base);; i = next(i)) {
+                Slot &s = slots_[i];
+                if (s.key == line_base)
+                    return s.mask;
+                if (s.key == kNoAddr) {
+                    if (2 * (used_ + 1) > slots_.size())
+                        return grow(line_base);
+                    ++used_;
+                    s.key = line_base;
+                    return s.mask;
+                }
+            }
+        }
+
+      private:
+        struct Slot
+        {
+            Addr key = kNoAddr;
+            std::uint32_t mask = 0;
+        };
+        static constexpr std::size_t kInitialSlots = 1024;
+
+        /** Fibonacci hashing: line bases share their low zero bits, the
+         *  multiply spreads the rest over the high bits kept. */
+        std::size_t
+        home(Addr key) const
+        {
+            return static_cast<std::size_t>(
+                       (key * 0x9E3779B97F4A7C15ull) >> 32) &
+                   (slots_.size() - 1);
+        }
+        std::size_t next(std::size_t i) const
+        {
+            return (i + 1) & (slots_.size() - 1);
+        }
+
+        /** Double the capacity, then insert @p line_base. */
+        std::uint32_t &grow(Addr line_base);
+
+        std::vector<Slot> slots_;
+        std::size_t used_ = 0;
+    };
+
     /** Result of probing every other cache for a line. */
     struct SnoopSummary
     {
         bool anyCopy = false; ///< Valid copy or in-flight fill elsewhere.
     };
 
-    /** Probe other caches (frames and MSHRs) for @p line_base. */
-    SnoopSummary probeOthers(ProcId requester, Addr line_base) const;
-
-    /** Downgrade every other copy to Shared (remote ReadShared). */
-    void downgradeOthers(ProcId requester, Addr line_base, Cycle now);
+    /** True when cache @p p holds anything live for @p line_base (the
+     *  holder-mask membership condition). */
+    bool holdsLive(ProcId p, Addr line_base) const;
 
     /**
-     * Invalidate every other copy / in-flight fill of @p line_base.
+     * Probe the other holders of @p line_base (frames, parked entries
+     * and MSHRs) in ascending processor order, stopping at the first
+     * live copy. A visited holder with nothing live leaves @p holders.
+     */
+    SnoopSummary probeOthers(ProcId requester, Addr line_base,
+                             std::uint32_t &holders);
+
+    /** Downgrade every other copy to Shared (remote ReadShared). */
+    void downgradeOthers(ProcId requester, Addr line_base,
+                         std::uint32_t &holders, Cycle now);
+
+    /**
+     * Invalidate every other copy / in-flight fill of @p line_base;
+     * every visited holder leaves @p holders (nothing live remains).
      * @p word is the word index the invalidating access targets, for
      * false-sharing attribution.
      */
     void invalidateOthers(ProcId requester, Addr line_base,
-                          std::uint32_t word, Cycle now);
+                          std::uint32_t word, std::uint32_t &holders,
+                          Cycle now);
+
+    /** Allocate @p proc's MSHR for a fill of @p line_base and mark the
+     *  cache in @p holders (the only way a cache comes to hold a line). */
+    Mshr &allocateFill(ProcId proc, Addr line_base, LineState target,
+                       bool is_prefetch, std::uint32_t &holders);
 
     /** Bus completion dispatcher. */
     void onBusComplete(const Transaction &txn, Cycle now);
@@ -359,6 +470,9 @@ class MemorySystem
     CatchUpFn catch_up_;
     MissObserverFn miss_observer_;
     obs::RunHooks *hooks_ = nullptr;
+
+    /** See snoopHolders(). */
+    HolderTable holders_;
 
     /** Pending upgrade per processor (line base; kNoAddr when none). */
     std::vector<Addr> pending_upgrade_;

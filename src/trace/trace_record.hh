@@ -58,70 +58,101 @@ isSync(RecordKind k)
  * One event in a per-processor trace.
  *
  * The struct is deliberately a flat 16-byte POD: whole experiments iterate
- * hundreds of millions of records.
+ * hundreds of millions of records. No record kind uses both @c count and
+ * @c sync, so they share storage.
  */
 struct TraceRecord
 {
     RecordKind kind = RecordKind::Instr;
-    /** For Instr: the number of instructions batched into this record. */
-    std::uint32_t count = 0;
+    union
+    {
+        /** For Instr: the number of instructions batched into this
+         *  record (0 for every other non-sync kind). */
+        std::uint32_t count = 0;
+        /** For sync records: lock or barrier identifier. */
+        SyncId sync;
+    };
     /** For Read/Write/Prefetch*: byte address. For sync records: unused. */
     Addr addr = kNoAddr;
-    /** For sync records: lock or barrier identifier. */
-    SyncId sync = 0;
 
     /** @name Constructors for each record kind. @{ */
     static TraceRecord
     instr(std::uint32_t count)
     {
-        return {RecordKind::Instr, count, kNoAddr, 0};
+        TraceRecord r;
+        r.count = count;
+        return r;
     }
 
     static TraceRecord
     read(Addr addr)
     {
-        return {RecordKind::Read, 0, addr, 0};
+        return access(RecordKind::Read, addr);
     }
 
     static TraceRecord
     write(Addr addr)
     {
-        return {RecordKind::Write, 0, addr, 0};
+        return access(RecordKind::Write, addr);
     }
 
     static TraceRecord
     prefetch(Addr addr, bool exclusive = false)
     {
-        return {exclusive ? RecordKind::PrefetchExcl : RecordKind::Prefetch,
-                0, addr, 0};
+        return access(exclusive ? RecordKind::PrefetchExcl
+                                : RecordKind::Prefetch,
+                      addr);
     }
 
     static TraceRecord
     lockAcquire(SyncId id)
     {
-        return {RecordKind::LockAcquire, 0, kNoAddr, id};
+        return syncOp(RecordKind::LockAcquire, id);
     }
 
     static TraceRecord
     lockRelease(SyncId id)
     {
-        return {RecordKind::LockRelease, 0, kNoAddr, id};
+        return syncOp(RecordKind::LockRelease, id);
     }
 
     static TraceRecord
     barrier(SyncId id)
     {
-        return {RecordKind::Barrier, 0, kNoAddr, id};
+        return syncOp(RecordKind::Barrier, id);
     }
     /** @} */
 
     bool
     operator==(const TraceRecord &o) const
     {
-        return kind == o.kind && count == o.count && addr == o.addr &&
-               sync == o.sync;
+        if (kind != o.kind || addr != o.addr)
+            return false;
+        return isSync(kind) ? sync == o.sync : count == o.count;
+    }
+
+  private:
+    static TraceRecord
+    access(RecordKind k, Addr a)
+    {
+        TraceRecord r;
+        r.kind = k;
+        r.addr = a;
+        return r;
+    }
+
+    static TraceRecord
+    syncOp(RecordKind k, SyncId id)
+    {
+        TraceRecord r;
+        r.kind = k;
+        r.sync = id;
+        return r;
     }
 };
+
+static_assert(sizeof(TraceRecord) == 16,
+              "TraceRecord must stay a 16-byte record");
 
 } // namespace prefsim
 

@@ -24,18 +24,16 @@ struct BusHarness
 {
     explicit BusHarness(const BusTiming &timing, unsigned procs = 4)
         : bus(timing, procs)
-    {
-        bus.setCompletion([this](const Transaction &t, Cycle now) {
-            done.push_back({t, now});
-        });
-    }
+    {}
 
     /** Run the bus up to (and including) cycle @p until. */
     void
     runTo(Cycle until)
     {
         for (; cycle <= until; ++cycle)
-            bus.tick(cycle);
+            bus.tick(cycle, [this](const Transaction &t, Cycle now) {
+                done.push_back({t, now});
+            });
     }
 
     Transaction

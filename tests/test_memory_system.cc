@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "sim/memory_system.hh"
@@ -21,11 +23,12 @@ namespace
 struct MemHarness
 {
     explicit MemHarness(unsigned procs = 4, Cycle transfer = 8,
-                        unsigned pdb_entries = 0)
+                        unsigned pdb_entries = 0,
+                        unsigned victim_entries = 0)
         : stats(procs),
           mem(procs, CacheGeometry::paperDefault(),
-              BusTiming{100, transfer, 2}, 16, stats,
-              /*victim_entries=*/0, pdb_entries)
+              BusTiming{100, transfer, 2}, 16, stats, victim_entries,
+              pdb_entries)
     {
         mem.setWake([this](ProcId p, bool retry) {
             wakes.push_back({p, retry});
@@ -441,6 +444,122 @@ TEST(Invariant, HoldsAcrossMixedTraffic)
     EXPECT_TRUE(h.mem.checkLineInvariant(line));
     EXPECT_EQ(h.stateOf(3, line), LineState::Exclusive);
     EXPECT_EQ(h.stateOf(2, line), LineState::Invalid);
+}
+
+/* ------------------------------------------------------------------ */
+/* Snoop holder mask                                                   */
+/* ------------------------------------------------------------------ */
+
+/** A line in the same direct-mapped set as @p a (forces its eviction). */
+Addr
+conflictOf(Addr a)
+{
+    return a + CacheGeometry::paperDefault().sizeBytes();
+}
+
+constexpr std::uint32_t
+bits(std::initializer_list<ProcId> procs)
+{
+    std::uint32_t m = 0;
+    for (ProcId p : procs)
+        m |= std::uint32_t{1} << p;
+    return m;
+}
+
+TEST(SnoopFilter, WriteMissVisitsOnlyTheHolders)
+{
+    MemHarness h;
+    const Addr line = 0x1000;
+    h.mem.demandAccess(1, line, false, h.cycle);
+    h.drain();
+    h.mem.demandAccess(3, line, false, h.cycle);
+    h.drain();
+    EXPECT_EQ(h.mem.snoopHolders(line), bits({1, 3}));
+
+    // The catch-up hook fires once per cache a snoop is about to
+    // mutate: with the mask, exactly the holders, in ascending order.
+    std::vector<ProcId> visited;
+    h.mem.setCatchUp([&visited](ProcId p) { visited.push_back(p); });
+    EXPECT_EQ(h.mem.demandAccess(0, line, true, h.cycle),
+              AccessResult::MissWait);
+    EXPECT_EQ(visited, (std::vector<ProcId>{1, 3}));
+    // Invalidation leaves nothing live outside the requester.
+    EXPECT_EQ(h.mem.snoopHolders(line), bits({0}));
+    EXPECT_EQ(h.stateOf(1, line), LineState::Invalid);
+    EXPECT_EQ(h.stateOf(3, line), LineState::Invalid);
+    h.mem.setCatchUp(nullptr);
+    h.drain();
+    EXPECT_EQ(h.stateOf(0, line), LineState::Modified);
+    EXPECT_TRUE(h.mem.checkLineInvariantDetail(line));
+}
+
+TEST(SnoopFilter, StaleBitClearsOnTheNextSnoop)
+{
+    MemHarness h;
+    const Addr line = 0x1000;
+    h.mem.demandAccess(1, line, false, h.cycle);
+    h.drain();
+    // Proc 1 evicts the line by filling its set with another one; the
+    // eviction stays inside the cache, so the bit goes stale.
+    h.mem.demandAccess(1, conflictOf(line), false, h.cycle);
+    h.drain();
+    ASSERT_EQ(h.stateOf(1, line), LineState::Invalid);
+    EXPECT_EQ(h.mem.snoopHolders(line), bits({1}));
+
+    // Proc 0's miss probes proc 1, finds nothing and clears the bit;
+    // the outcome is the lone reader's: Exclusive.
+    h.mem.demandAccess(0, line, false, h.cycle);
+    EXPECT_EQ(h.mem.snoopHolders(line), bits({0}));
+    h.drain();
+    EXPECT_EQ(h.stateOf(0, line), LineState::Exclusive);
+    EXPECT_TRUE(h.mem.checkLineInvariantDetail(line));
+}
+
+TEST(SnoopFilter, VictimBufferLineKeepsItsBit)
+{
+    MemHarness h(/*procs=*/2, /*transfer=*/8, /*pdb_entries=*/0,
+                 /*victim_entries=*/4);
+    const Addr line = 0x1000;
+    h.mem.demandAccess(1, line, false, h.cycle);
+    h.drain();
+    h.mem.demandAccess(1, conflictOf(line), false, h.cycle);
+    h.drain();
+    ASSERT_EQ(h.mem.cache(1).stateAnywhere(line), LineState::Exclusive);
+    ASSERT_EQ(h.stateOf(1, line), LineState::Invalid); // Buffer only.
+
+    // The buffered copy is live: the remote read shares with it.
+    h.mem.demandAccess(0, line, false, h.cycle);
+    EXPECT_EQ(h.mem.snoopHolders(line), bits({0, 1}));
+    h.drain();
+    EXPECT_EQ(h.stateOf(0, line), LineState::Shared);
+    EXPECT_EQ(h.mem.cache(1).stateAnywhere(line), LineState::Shared);
+    EXPECT_TRUE(h.mem.checkLineInvariantDetail(line));
+}
+
+TEST(SnoopFilter, ParkedLineKeepsItsBit)
+{
+    MemHarness h(/*procs=*/2, /*transfer=*/8, /*pdb_entries=*/8);
+    const Addr line = 0x1000;
+    h.mem.prefetchAccess(1, line, false, h.cycle);
+    h.drain();
+    ASSERT_NE(h.mem.cache(1).findParked(line), nullptr);
+
+    h.mem.demandAccess(0, line, false, h.cycle);
+    EXPECT_EQ(h.mem.snoopHolders(line), bits({0, 1}));
+    h.drain();
+    EXPECT_EQ(h.stateOf(0, line), LineState::Shared);
+    EXPECT_TRUE(h.mem.checkLineInvariantDetail(line));
+}
+
+TEST(SnoopFilter, SkippedHolderMarkIsReported)
+{
+    MemHarness h(/*procs=*/2);
+    h.mem.setProtocolMutation(ProtocolMutation::SkipHolderMark);
+    h.mem.demandAccess(0, 0x1000, false, h.cycle);
+    std::string why;
+    EXPECT_FALSE(h.mem.checkLineInvariantDetail(0x1000, &why));
+    EXPECT_EQ(why.rfind("coherence.snoop_filter", 0), 0u) << why;
+    h.drain();
 }
 
 } // namespace

@@ -362,10 +362,14 @@ TEST(BurstBoundary, StepMonotonic)
 
 struct BusProbe
 {
-    explicit BusProbe(const BusTiming &timing) : bus(timing, 4)
+    explicit BusProbe(const BusTiming &timing) : bus(timing, 4) {}
+
+    /** Tick the bus, recording each completion's requester. */
+    void
+    tick(Cycle now)
     {
-        bus.setCompletion([this](const Transaction &, Cycle) {
-            ++completions;
+        bus.tick(now, [this](const Transaction &txn, Cycle) {
+            completed.push_back(txn.requester);
         });
     }
 
@@ -382,7 +386,7 @@ struct BusProbe
 
     SplitBus bus;
     Cycle cycle = 0;
-    unsigned completions = 0;
+    std::vector<ProcId> completed; ///< Requesters in completion order.
 };
 
 TEST(BusEventQueries, IdleBusHasNoEvents)
@@ -406,13 +410,13 @@ TEST(BusEventQueries, DataOpGrantThenCompletion)
     EXPECT_EQ(h.bus.nextGrantCycle(t.memoryPhase() + 5),
               t.memoryPhase() + 5);
 
-    h.bus.tick(t.memoryPhase()); // Grant: occupies the data bus.
+    h.tick(t.memoryPhase()); // Grant: occupies the data bus.
     EXPECT_EQ(h.bus.nextGrantCycle(t.memoryPhase()), kNoCycle);
     EXPECT_EQ(h.bus.nextCompletionCycle(t.memoryPhase()),
               t.memoryPhase() + t.dataTransfer);
 
-    h.bus.tick(t.memoryPhase() + t.dataTransfer);
-    EXPECT_EQ(h.completions, 1u);
+    h.tick(t.memoryPhase() + t.dataTransfer);
+    EXPECT_EQ(h.completed.size(), 1u);
     EXPECT_EQ(h.bus.nextEventCycle(t.memoryPhase() + t.dataTransfer),
               kNoCycle);
 }
@@ -423,7 +427,7 @@ TEST(BusEventQueries, ChannelGatingBlocksGrants)
     BusProbe h(t);
     h.bus.request(h.make(BusOpKind::ReadShared, 0, 0x1000), 0);
     h.bus.request(h.make(BusOpKind::ReadShared, 1, 0x2000), 0);
-    h.bus.tick(t.memoryPhase()); // First grant fills the only channel.
+    h.tick(t.memoryPhase()); // First grant fills the only channel.
     // The second op is ready but cannot be granted: the next event is
     // the active transfer's completion, which frees the channel.
     EXPECT_EQ(h.bus.nextGrantCycle(t.memoryPhase() + 1), kNoCycle);
@@ -491,10 +495,7 @@ TEST(ConservativeLookahead, GrantOrderIndependentOfArrivalOrder)
     std::vector<ProcId> order[2];
     for (int perm = 0; perm < 2; ++perm) {
         BusProbe h(t);
-        std::vector<ProcId> &got = order[perm];
-        h.bus.setCompletion([&got](const Transaction &txn, Cycle) {
-            got.push_back(txn.requester);
-        });
+        const std::vector<ProcId> &got = h.completed;
         for (int i = 0; i < 4; ++i) {
             const ProcId p = perm ? arrival[3 - i] : arrival[i];
             h.bus.request(
@@ -502,9 +503,10 @@ TEST(ConservativeLookahead, GrantOrderIndependentOfArrivalOrder)
         }
         for (Cycle c = 0; h.bus.busy(); ++c) {
             ASSERT_LT(c, t.totalLatency + 8 * t.dataTransfer);
-            h.bus.tick(c);
+            h.tick(c);
         }
         ASSERT_EQ(got.size(), 4u) << "perm=" << perm;
+        order[perm] = got;
     }
     EXPECT_EQ(order[0], order[1]);
 }
@@ -518,10 +520,7 @@ TEST(ConservativeLookahead, OwnerlessRanksAfterEveryProcessor)
     const BusTiming t{100, 8, 2};
     for (int wb_first = 0; wb_first < 2; ++wb_first) {
         BusProbe h(t);
-        std::vector<ProcId> got;
-        h.bus.setCompletion([&got](const Transaction &txn, Cycle) {
-            got.push_back(txn.requester);
-        });
+        const std::vector<ProcId> &got = h.completed;
         const Transaction wb = h.make(BusOpKind::WriteBack, kNoProc, 0x4000);
         const Transaction rd = h.make(BusOpKind::ReadShared, 3, 0x5000);
         if (wb_first) {
@@ -536,7 +535,7 @@ TEST(ConservativeLookahead, OwnerlessRanksAfterEveryProcessor)
         // in the queue at arbitration time.
         for (Cycle c = t.memoryPhase(); h.bus.busy(); ++c) {
             ASSERT_LT(c, 4 * t.totalLatency);
-            h.bus.tick(c);
+            h.tick(c);
         }
         ASSERT_EQ(got.size(), 2u);
         EXPECT_EQ(got[0], ProcId{3}) << "wb_first=" << wb_first;

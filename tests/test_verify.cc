@@ -165,6 +165,19 @@ TEST(ModelChecker, CatchesStaleMshrTarget)
     EXPECT_LE(rep.counterexample.size(), 3u);
 }
 
+TEST(ModelChecker, CatchesSkippedHolderMark)
+{
+    ModelCheckerConfig cfg;
+    cfg.numCaches = 2;
+    cfg.mutation = ProtocolMutation::SkipHolderMark;
+    const ModelCheckerReport rep = checkProtocol(cfg);
+    ASSERT_FALSE(rep.ok());
+    EXPECT_EQ(rep.findings[0].rule, "coherence.snoop_filter");
+    // The first miss already leaves a live MSHR outside the mask.
+    EXPECT_EQ(rep.counterexample.size(), 1u)
+        << checkPathName(rep.counterexample);
+}
+
 // ------------------------------------------------------------ trace linter
 
 /** A minimal well-formed two-processor trace the corruption fixtures

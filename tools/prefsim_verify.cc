@@ -37,7 +37,8 @@ usage(const std::string &complaint = "")
         std::cerr << "prefsim_verify: " << complaint << "\n";
     std::cerr << "usage: prefsim_verify [--json] [--caches N(2..4)]\n"
                  "           [--mutation none|skip-invalidate|"
-                 "skip-downgrade|keep-stale-mshr]\n"
+                 "skip-downgrade|keep-stale-mshr|\n"
+                 "                       skip-holder-mark]\n"
                  "           [--max-states N] [--max-drain CYCLES]\n";
     std::exit(kExitUsage);
 }
@@ -53,6 +54,8 @@ mutationFromName(const std::string &name)
         return ProtocolMutation::SkipDowngrade;
     if (name == "keep-stale-mshr")
         return ProtocolMutation::KeepStaleMshrTarget;
+    if (name == "skip-holder-mark")
+        return ProtocolMutation::SkipHolderMark;
     usage("unknown mutation \"" + name + "\"");
 }
 
@@ -68,6 +71,8 @@ mutationName(ProtocolMutation m)
         return "skip-downgrade";
       case ProtocolMutation::KeepStaleMshrTarget:
         return "keep-stale-mshr";
+      case ProtocolMutation::SkipHolderMark:
+        return "skip-holder-mark";
     }
     return "?";
 }
