@@ -333,10 +333,12 @@ TSAN_BUILD="$BUILD-tsan"
 cmake -B "$TSAN_BUILD" -DPREFSIM_SANITIZE=thread -DPREFSIM_BUILD_BENCH=OFF \
     -DPREFSIM_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sweep \
-    --target test_obs
+    --target test_obs --target test_inserter
 "$TSAN_BUILD"/tests/test_sweep
 "$TSAN_BUILD"/tests/test_obs
-echo "ok: test_sweep + test_obs clean under ThreadSanitizer"
+# Per-processor annotation on a pool (ThreadPool::parallelFor).
+"$TSAN_BUILD"/tests/test_inserter
+echo "ok: test_sweep + test_obs + test_inserter clean under ThreadSanitizer"
 
 # --- configuration 3: ASan+UBSan with runtime invariant hooks ---------
 stage "asan+ubsan+verify-hooks build + tests"

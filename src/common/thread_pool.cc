@@ -1,5 +1,8 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
 namespace prefsim
@@ -48,6 +51,43 @@ ThreadPool::waitAll()
 {
     std::unique_lock<std::mutex> lock(mu_);
     idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+}
+
+void
+ThreadPool::parallelFor(std::size_t n,
+                        const std::function<void(std::size_t)> &fn)
+{
+    // Shared with the helper tasks, which may be dequeued after this
+    // call returned; a helper that claims no index never touches fn.
+    struct Loop
+    {
+        std::atomic<std::size_t> next{0};
+        std::mutex mu;
+        std::condition_variable cv;
+        std::size_t done = 0;
+    };
+    const auto loop = std::make_shared<Loop>();
+    const auto drain = [n](Loop &l,
+                           const std::function<void(std::size_t)> *f) {
+        std::size_t ran = 0;
+        for (std::size_t i; (i = l.next.fetch_add(1)) < n; ++ran)
+            (*f)(i);
+        if (ran == 0)
+            return;
+        std::lock_guard<std::mutex> lock(l.mu);
+        l.done += ran;
+        if (l.done == n)
+            l.cv.notify_all();
+    };
+
+    const std::size_t helpers =
+        n == 0 ? 0 : std::min<std::size_t>(workers_.size() - 1, n - 1);
+    for (std::size_t h = 0; h < helpers; ++h)
+        submit([loop, drain, f = &fn] { drain(*loop, f); });
+    drain(*loop, &fn);
+
+    std::unique_lock<std::mutex> lock(loop->mu);
+    loop->cv.wait(lock, [&] { return loop->done == n; });
 }
 
 void

@@ -5,8 +5,9 @@
  *
  * Deliberately minimal: FIFO task queue, submit-from-anywhere (including
  * from inside a running task, which is how the sweep DAG releases
- * dependent stages), and a waitAll() barrier that returns once the queue
- * is drained and every worker is idle. Tasks must not throw — the
+ * dependent stages), a waitAll() barrier that returns once the queue
+ * is drained and every worker is idle, and a caller-helps parallelFor()
+ * for data-parallel loops inside a stage. Tasks must not throw — the
  * simulator's error paths terminate the process via fatal()/panic()
  * instead of unwinding.
  */
@@ -48,6 +49,18 @@ class ThreadPool
      * from non-worker threads (a worker waiting on itself deadlocks).
      */
     void waitAll();
+
+    /**
+     * Run `fn(0)` … `fn(n - 1)` and return once every call has
+     * finished. The calling thread runs indices itself and up to
+     * workers − 1 queued helpers take the rest, so at most the worker
+     * count of calls run at once, caller included; a one-worker pool
+     * runs them all on the caller. Safe from inside a worker task: it
+     * never waits for queued work, only for indices already running,
+     * so it cannot deadlock when every worker is busy.
+     */
+    void parallelFor(std::size_t n,
+                     const std::function<void(std::size_t)> &fn);
 
     /** The worker count @p requested resolves to (0 = all cores). */
     static unsigned resolveThreads(unsigned requested);

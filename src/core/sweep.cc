@@ -34,7 +34,8 @@ nanosSince(std::chrono::steady_clock::time_point start)
 
 SweepEngine::SweepEngine(WorkloadParams params, CacheGeometry geometry,
                          SweepOptions options)
-    : params_(params), geometry_(geometry), options_(std::move(options))
+    : params_(params), geometry_(geometry), options_(std::move(options)),
+      pool_(std::make_unique<ThreadPool>(options_.jobs))
 {
     if (options_.metrics || options_.tracing ||
         options_.sampleInterval > 0 || options_.profile ||
@@ -185,8 +186,6 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
         sims.push_back(std::move(sim));
     }
 
-    ThreadPool pool(options_.jobs);
-
     const auto runSim = [&](std::size_t i) {
         const SimNode &node = sims[i];
         std::shared_ptr<const AnnotatedTrace> ann;
@@ -237,14 +236,13 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
 
     const auto runAnn = [&](std::size_t i) {
         const AnnNode &node = anns[i];
-        std::shared_ptr<const ParallelTrace> trace;
+        std::shared_ptr<const AnnotatedTrace> base;
         {
             std::lock_guard<std::mutex> lock(mu_);
-            trace = traces_.at(node.traceKey);
+            base = traces_.at(node.traceKey);
         }
         const auto start = std::chrono::steady_clock::now();
-        auto ann = std::make_shared<const AnnotatedTrace>(annotateTrace(
-            *trace, node.spec->annotationParams(), node.spec->geometry));
+        auto ann = annotate(*node.spec, base);
         const std::uint64_t nanos = nanosSince(start);
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -253,7 +251,7 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
             counters_.annotateNanos += nanos;
         }
         for (const std::size_t s : node.sims)
-            pool.submit([&runSim, s] { runSim(s); });
+            pool_->submit([&runSim, s] { runSim(s); });
     };
 
     const auto runTrace = [&](std::size_t i) {
@@ -261,8 +259,8 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
         WorkloadParams wp = node.spec->params;
         wp.restructured = node.spec->restructured;
         const auto start = std::chrono::steady_clock::now();
-        auto trace = std::make_shared<const ParallelTrace>(
-            generateWorkload(node.spec->workload, wp));
+        auto trace = std::make_shared<const AnnotatedTrace>(
+            unannotated(generateWorkload(node.spec->workload, wp)));
         const std::uint64_t nanos = nanosSince(start);
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -271,19 +269,19 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
             counters_.traceNanos += nanos;
         }
         for (const std::size_t a : node.anns)
-            pool.submit([&runAnn, a] { runAnn(a); });
+            pool_->submit([&runAnn, a] { runAnn(a); });
     };
 
     for (std::size_t i = 0; i < trace_nodes.size(); ++i)
-        pool.submit([&runTrace, i] { runTrace(i); });
+        pool_->submit([&runTrace, i] { runTrace(i); });
     for (std::size_t i = 0; i < anns.size(); ++i) {
         if (anns[i].traceReady)
-            pool.submit([&runAnn, i] { runAnn(i); });
+            pool_->submit([&runAnn, i] { runAnn(i); });
     }
     for (const std::size_t i : ready_sims)
-        pool.submit([&runSim, i] { runSim(i); });
+        pool_->submit([&runSim, i] { runSim(i); });
 
-    pool.waitAll();
+    pool_->waitAll();
 }
 
 bool
@@ -406,8 +404,8 @@ SweepEngine::speedup(WorkloadKind kind, bool restructured,
                                   data_transfer);
 }
 
-const ParallelTrace &
-SweepEngine::baseTrace(WorkloadKind kind, bool restructured)
+const std::shared_ptr<const AnnotatedTrace> &
+SweepEngine::traceStage(WorkloadKind kind, bool restructured)
 {
     const ExperimentSpec spec =
         makeSpec(kind, restructured, Strategy::NP, 8);
@@ -418,13 +416,33 @@ SweepEngine::baseTrace(WorkloadKind kind, bool restructured)
         wp.restructured = restructured;
         const auto start = std::chrono::steady_clock::now();
         it = traces_
-                 .emplace(key, std::make_shared<const ParallelTrace>(
-                                   generateWorkload(kind, wp)))
+                 .emplace(key, std::make_shared<const AnnotatedTrace>(
+                                   unannotated(generateWorkload(kind, wp))))
                  .first;
         ++counters_.tracesGenerated;
         counters_.traceNanos += nanosSince(start);
     }
-    return *it->second;
+    return it->second;
+}
+
+const ParallelTrace &
+SweepEngine::baseTrace(WorkloadKind kind, bool restructured)
+{
+    return traceStage(kind, restructured)->trace;
+}
+
+std::shared_ptr<const AnnotatedTrace>
+SweepEngine::annotate(const ExperimentSpec &spec,
+                      const std::shared_ptr<const AnnotatedTrace> &base)
+{
+    const StrategyParams params = spec.annotationParams();
+    if (!params.enabled)
+        return base;
+    return std::make_shared<const AnnotatedTrace>(annotateTrace(
+        base->trace, params, spec.geometry,
+        [this](std::size_t n, const std::function<void(std::size_t)> &fn) {
+            pool_->parallelFor(n, fn);
+        }));
 }
 
 const AnnotatedTrace &
@@ -436,14 +454,9 @@ SweepEngine::annotated(WorkloadKind kind, bool restructured,
     const std::string key = annotateStageKey(spec);
     auto it = annotated_.find(key);
     if (it == annotated_.end()) {
-        const ParallelTrace &base = baseTrace(kind, restructured);
+        const auto &base = traceStage(kind, restructured);
         const auto start = std::chrono::steady_clock::now();
-        it = annotated_
-                 .emplace(key,
-                          std::make_shared<const AnnotatedTrace>(
-                              annotateTrace(base, spec.annotationParams(),
-                                            geometry_)))
-                 .first;
+        it = annotated_.emplace(key, annotate(spec, base)).first;
         ++counters_.annotationsRun;
         counters_.annotateNanos += nanosSince(start);
     }

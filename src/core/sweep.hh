@@ -12,6 +12,12 @@
  * shared, so results are bit-identical to the serial Workbench path
  * regardless of the worker count or completion order.
  *
+ * One worker pool serves the engine for its lifetime: batches run their
+ * stages on it, and each annotation fans its processors out over it
+ * (ThreadPool::parallelFor), whether it runs inside a batch or on
+ * demand through annotated(). The trace stage's product doubles as the
+ * NP annotation, so a disabled strategy costs no copy of the trace.
+ *
  * With a cache directory configured, finished points are persisted to a
  * content-addressed on-disk cache (see core/result_io.hh) and future
  * runs — a re-invoked bench binary, or a sweep interrupted halfway —
@@ -36,10 +42,13 @@
 namespace prefsim
 {
 
+class ThreadPool;
+
 /** Execution options of one SweepEngine. */
 struct SweepOptions
 {
-    /** Worker threads; 1 = serial (the default), 0 = all cores. */
+    /** Worker threads, stages and per-processor annotation alike;
+     *  1 = serial (the default), 0 = all cores. */
     unsigned jobs = 1;
     /** On-disk result cache directory; empty disables persistence. */
     std::string cacheDir;
@@ -173,7 +182,8 @@ class SweepEngine
     const ParallelTrace &baseTrace(WorkloadKind kind,
                                    bool restructured = false);
 
-    /** The strategy-annotated trace; cached and shared. */
+    /** The strategy-annotated trace; cached and shared. A disabled
+     *  strategy (NP) returns the base trace itself, not a copy. */
     const AnnotatedTrace &annotated(WorkloadKind kind, bool restructured,
                                     Strategy strategy);
 
@@ -224,6 +234,18 @@ class SweepEngine
     /** Execute @p specs (none of which have results yet) as a DAG. */
     void executeBatch(const std::vector<ExperimentSpec> &specs);
 
+    /** The trace stage's product for @p kind, generated on demand. */
+    const std::shared_ptr<const AnnotatedTrace> &
+    traceStage(WorkloadKind kind, bool restructured);
+
+    /**
+     * Annotate @p base for @p spec, one processor per pool task. A
+     * disabled strategy resolves to @p base itself. Safe from workers.
+     */
+    std::shared_ptr<const AnnotatedTrace>
+    annotate(const ExperimentSpec &spec,
+             const std::shared_ptr<const AnnotatedTrace> &base);
+
     /** Try the disk cache; on success the result is installed. */
     bool tryLoadFromDisk(const ExperimentSpec &spec,
                          const std::string &key);
@@ -248,10 +270,16 @@ class SweepEngine
 
     /** Guards the stage maps and counters while workers run. */
     std::mutex mu_;
-    std::map<std::string, std::shared_ptr<const ParallelTrace>> traces_;
+    /** Generated traces, each wrapped as its own NP annotation; every
+     *  disabled-strategy entry of annotated_ shares one of these. */
+    std::map<std::string, std::shared_ptr<const AnnotatedTrace>> traces_;
     std::map<std::string, std::shared_ptr<const AnnotatedTrace>>
         annotated_;
     std::map<std::string, std::unique_ptr<ExperimentResult>> runs_;
+
+    /** Declared last: joined before the stage products it works on
+     *  are destroyed. */
+    std::unique_ptr<ThreadPool> pool_;
 };
 
 } // namespace prefsim

@@ -169,8 +169,16 @@ class DataCache
     touch(Addr addr)
     {
         if (const CacheFrame *f = findFrame(addr))
-            last_use_[static_cast<std::size_t>(f - frames_.data())] =
-                ++use_clock_;
+            touchFrame(*f);
+    }
+
+    /** Record an LRU touch on @p f, a frame of the cache proper (as
+     *  findFrame() returns them) — touch() without the lookup. */
+    void
+    touchFrame(const CacheFrame &f)
+    {
+        last_use_[static_cast<std::size_t>(&f - frames_.data())] =
+            ++use_clock_;
     }
     /** @} */
 

@@ -5,9 +5,9 @@
  * Each recorder (time series, attribution profile, critical path)
  * produces one finished run per simulation and keeps a store of them on
  * the ObsContext. Sweep workers commit concurrently in completion
- * order; the serialised document sorts runs by label so it is
- * deterministic anyway (scripts/check.sh diffs engine outputs
- * byte-for-byte).
+ * order; the serialised document sorts runs by label, and runs that
+ * share a label by their serialised form, so it is deterministic anyway
+ * (scripts/check.sh diffs engine outputs byte-for-byte).
  */
 
 #ifndef PREFSIM_OBS_RUN_STORE_HH
@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <mutex>
 #include <ostream>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -76,7 +78,10 @@ class RunStore
     }
 
     /** Write `{"schema": schema, "runs": [...]}`, one @p write_run call
-     *  per run in label order. */
+     *  per run in label order. Runs sharing a label (say, one
+     *  configuration at several cache sizes) are ordered by their
+     *  serialised form, so the document does not depend on the order
+     *  they were committed in. */
     template <typename WriteRun>
     void
     writeDocument(std::ostream &os, const char *schema,
@@ -87,10 +92,31 @@ class RunStore
         ordered.reserve(runs_.size());
         for (const Run &r : runs_)
             ordered.push_back(&r);
-        std::stable_sort(ordered.begin(), ordered.end(),
-                         [](const Run *a, const Run *b) {
-                             return a->label < b->label;
-                         });
+        std::sort(ordered.begin(), ordered.end(),
+                  [](const Run *a, const Run *b) {
+                      return a->label < b->label;
+                  });
+        const auto serialised = [&](const Run *r) {
+            std::ostringstream text;
+            JsonWriter w(text);
+            write_run(w, *r);
+            return text.str();
+        };
+        for (auto first = ordered.begin(); first != ordered.end();) {
+            const auto last = std::find_if(
+                first, ordered.end(), [&](const Run *r) {
+                    return r->label != (*first)->label;
+                });
+            if (last - first > 1) {
+                std::vector<std::pair<std::string, const Run *>> tied;
+                for (auto it = first; it != last; ++it)
+                    tied.emplace_back(serialised(*it), *it);
+                std::sort(tied.begin(), tied.end());
+                for (const auto &t : tied)
+                    *first++ = t.second;
+            }
+            first = last;
+        }
         JsonWriter j(os);
         j.beginObject();
         j.key("schema").value(schema);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
@@ -212,35 +213,64 @@ annotateProc(const Trace &in, const StrategyParams &params,
 
 } // namespace
 
+AnnotateStats &
+AnnotateStats::operator+=(const AnnotateStats &o)
+{
+    oracleCandidates += o.oracleCandidates;
+    pwsCandidates += o.pwsCandidates;
+    inserted += o.inserted;
+    insertedExclusive += o.insertedExclusive;
+    rtwExclusive += o.rtwExclusive;
+    droppedShared += o.droppedShared;
+    demandRefs += o.demandRefs;
+    return *this;
+}
+
 AnnotatedTrace
-annotateTrace(const ParallelTrace &input, const StrategyParams &params,
-              const CacheGeometry &geom)
+unannotated(ParallelTrace trace)
 {
     AnnotatedTrace result;
-    result.trace.name = input.name;
-    result.trace.numLocks = input.numLocks;
-    result.trace.numBarriers = input.numBarriers;
+    result.trace = std::move(trace);
+    for (const auto &t : result.trace.procs)
+        result.stats.demandRefs += t.demandRefs();
+    return result;
+}
 
-    if (!params.enabled) {
-        result.trace.procs = input.procs;
-        for (const auto &t : input.procs)
-            result.stats.demandRefs += t.demandRefs();
-        return result;
-    }
+AnnotatedTrace
+annotateTrace(const ParallelTrace &input, const StrategyParams &params,
+              const CacheGeometry &geom, const ForEachProc &for_each_proc)
+{
+    if (!params.enabled)
+        return unannotated(input);
     if (params.distanceCycles == 0)
         prefsim_fatal("prefetch distance must be non-zero when enabled");
 
     // PWS needs whole-workload knowledge of which lines are
     // write-shared; the non-snooping-buffer model needs the private set.
+    // Built once, before the per-processor fan-out reads it.
     std::unique_ptr<SharingAnalysis> sharing;
     if (params.prefetchWriteShared || params.privateLinesOnly)
         sharing = std::make_unique<SharingAnalysis>(input, geom.lineBytes());
 
-    result.trace.procs.reserve(input.numProcs());
-    for (const auto &proc_trace : input.procs) {
-        result.trace.procs.push_back(annotateProc(
-            proc_trace, params, geom, sharing.get(), result.stats));
+    AnnotatedTrace result;
+    result.trace.name = input.name;
+    result.trace.numLocks = input.numLocks;
+    result.trace.numBarriers = input.numBarriers;
+    const std::size_t n = input.numProcs();
+    result.trace.procs.resize(n);
+    std::vector<AnnotateStats> proc_stats(n);
+    const std::function<void(std::size_t)> one = [&](std::size_t p) {
+        result.trace.procs[p] = annotateProc(input.procs[p], params, geom,
+                                             sharing.get(), proc_stats[p]);
+    };
+    if (for_each_proc) {
+        for_each_proc(n, one);
+    } else {
+        for (std::size_t p = 0; p < n; ++p)
+            one(p);
     }
+    for (const AnnotateStats &s : proc_stats)
+        result.stats += s;
     return result;
 }
 

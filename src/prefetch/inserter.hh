@@ -22,7 +22,9 @@
 #ifndef PREFSIM_PREFETCH_INSERTER_HH
 #define PREFSIM_PREFETCH_INSERTER_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "common/cache_geometry.hh"
 #include "prefetch/strategy.hh"
@@ -50,6 +52,8 @@ struct AnnotateStats
     /** Demand references examined. */
     std::uint64_t demandRefs = 0;
 
+    AnnotateStats &operator+=(const AnnotateStats &o);
+
     /** Prefetches per demand reference — the code-expansion overhead. */
     double
     overheadRatio() const
@@ -68,14 +72,34 @@ struct AnnotatedTrace
 };
 
 /**
+ * Runs `fn(0)` … `fn(n - 1)`, possibly concurrently, and returns once
+ * every call has finished (ThreadPool::parallelFor fits). An empty
+ * executor runs them in order on the calling thread.
+ */
+using ForEachProc = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)> &fn)>;
+
+/**
+ * @p trace as its own NP annotation: unmodified, with only the demand
+ * references counted. Takes the trace by value, so a caller that moves
+ * it in pays no copy.
+ */
+AnnotatedTrace unannotated(ParallelTrace trace);
+
+/**
  * Produce a copy of @p input with prefetch records inserted according to
  * @p params, for caches of geometry @p geom.
  *
  * With params.enabled == false the trace is returned unmodified (NP).
+ * Each processor's stream is annotated independently (its own filter
+ * caches; only the whole-trace SharingAnalysis is shared, read-only), so
+ * @p for_each_proc may run them concurrently; the result is identical
+ * either way.
  */
 AnnotatedTrace annotateTrace(const ParallelTrace &input,
                              const StrategyParams &params,
-                             const CacheGeometry &geom);
+                             const CacheGeometry &geom,
+                             const ForEachProc &for_each_proc = {});
 
 /** Convenience overload using the paper's parameters for @p strategy. */
 AnnotatedTrace annotateTrace(const ParallelTrace &input, Strategy strategy,

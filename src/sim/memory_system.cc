@@ -245,6 +245,36 @@ MemorySystem::allocateFill(ProcId proc, Addr line_base, LineState target,
     return caches_[proc]->allocateMshr(line_base, target, is_prefetch);
 }
 
+void
+MemorySystem::recordHit(ProcId proc, CacheFrame &f, Addr base,
+                        std::uint32_t word)
+{
+    DataCache &c = *caches_[proc];
+    f.accessMask |= 1u << word;
+    if (f.broughtByPrefetch && !f.usedSinceFill) {
+        ++prefetch_first_use_[proc]; // Prefetch proved useful.
+        if (hooks_)
+            hooks_->prefetchUse(proc, base);
+    }
+    f.usedSinceFill = true;
+    c.touchFrame(f);
+    if (c.prefetchLostEntries())
+        c.consumePrefetchLost(base); // Stale marker: satisfied.
+}
+
+bool
+MemorySystem::applyQuietHit(ProcId proc, Addr addr, bool is_write)
+{
+    CacheFrame *f = caches_[proc]->findFrame(addr);
+    if (f == nullptr || !isValid(f->state) ||
+        (is_write && !isPrivate(f->state)))
+        return false;
+    recordHit(proc, *f, geom_.lineBase(addr), geom_.wordInLine(addr));
+    if (is_write)
+        f->state = LineState::Modified; // Silent upgrade from E.
+    return true;
+}
+
 AccessResult
 MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
 {
@@ -252,18 +282,10 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
     const Addr base = geom_.lineBase(addr);
     const std::uint32_t word = geom_.wordInLine(addr);
 
-    // The hit path, shared by genuine hits and victim-buffer swaps.
+    // The hit path, shared by genuine hits and victim-buffer swaps
+    // (both hand over a frame of the cache proper).
     auto complete_hit = [&](CacheFrame &f) -> AccessResult {
-        f.accessMask |= 1u << word;
-        if (f.broughtByPrefetch && !f.usedSinceFill) {
-            ++prefetch_first_use_[proc]; // Prefetch proved useful.
-            if (hooks_)
-                hooks_->prefetchUse(proc, base);
-        }
-        f.usedSinceFill = true;
-        c.touch(addr);
-        if (c.prefetchLostEntries())
-            c.consumePrefetchLost(base); // Stale marker: satisfied.
+        recordHit(proc, f, base, word);
         if (!is_write || f.state == LineState::Modified)
             return AccessResult::Hit;
         if (f.state == LineState::Exclusive) {

@@ -221,6 +221,16 @@ class MemorySystem
     }
 
     /**
+     * Execute a demand access that wouldHitQuietly() predicted, with
+     * one frame lookup: exactly the cache-local effects demandAccess()
+     * applies to a Hit (access mask, prefetch first use, LRU touch,
+     * stale prefetch-lost marker, the silent E->M upgrade).
+     * @return false, with nothing applied, if the prediction no longer
+     *         holds.
+     */
+    bool applyQuietHit(ProcId proc, Addr addr, bool is_write);
+
+    /**
      * Would prefetchAccess() drop without any side effect beyond its
      * own statistics? True when the line is already resident, already
      * in flight, or already parked in the prefetch data buffer —
@@ -410,6 +420,11 @@ class MemorySystem
         std::vector<Slot> slots_;
         std::size_t used_ = 0;
     };
+
+    /** The effects every demand hit applies to @p f, the frame of
+     *  @p proc's cache holding the accessed word (@p base, @p word). */
+    void recordHit(ProcId proc, CacheFrame &f, Addr base,
+                   std::uint32_t word);
 
     /** Result of probing every other cache for a line. */
     struct SnoopSummary

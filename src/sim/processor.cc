@@ -394,10 +394,10 @@ Processor::fastForward(Cycle n, Cycle now)
         break;
     }
     // Replay the cycles runningInertCycles() promised, record by
-    // record. Quiet hits run through the real memory system — same
-    // call, same cycle stamp as the cycle loop — so every cache-local
-    // side effect (LRU, access masks, the silent E->M upgrade) lands
-    // identically.
+    // record. Quiet hits apply the memory system's own hit effects
+    // (MemorySystem::applyQuietHit: LRU, access masks, the silent E->M
+    // upgrade) in the order the cycle loop would, so every cache-local
+    // side effect lands identically.
     const Cycle end = now + n;
     Cycle t = now;
     while (t < end) {
@@ -432,11 +432,12 @@ Processor::fastForward(Cycle n, Cycle now)
                     ++stats_.writes;
                 in_access_phase_ = true;
             } else {
-                const bool completed = executeAccess(t);
-                prefsim_assert(completed && state_ == State::Running,
-                               "proc ", id_, " access at cycle ", t,
+                const bool hit = mem_.applyQuietHit(
+                    id_, r.addr, r.kind == RecordKind::Write);
+                prefsim_assert(hit, "proc ", id_, " access at cycle ", t,
                                " was predicted to hit quietly but did "
                                "not complete");
+                ++stats_.busy;
                 advance(t);
             }
             ++t;

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "prefetch/cost_model.hh"
 #include "prefetch/inserter.hh"
+#include "trace/workload.hh"
 
 namespace prefsim
 {
@@ -313,6 +317,50 @@ TEST(Inserter, MetadataCopied)
     EXPECT_EQ(out.trace.numLocks, 3u);
     EXPECT_EQ(out.trace.numBarriers, 7u);
     EXPECT_EQ(out.trace.numProcs(), 2u);
+}
+
+/** Per-processor annotation on a pool gives the serial result: the
+ *  same records and the same stats, for every strategy. */
+TEST(Inserter, ParallelExecutorMatchesSerial)
+{
+    WorkloadParams wp;
+    wp.numProcs = 8;
+    wp.refsPerProc = 6000;
+    ThreadPool pool(4);
+    const ForEachProc on_pool =
+        [&](std::size_t n, const std::function<void(std::size_t)> &fn) {
+            pool.parallelFor(n, fn);
+        };
+    for (const WorkloadKind app :
+         {WorkloadKind::Mp3d, WorkloadKind::Water, WorkloadKind::Pverify}) {
+        const ParallelTrace base = generateWorkload(app, wp);
+        for (const Strategy s : allStrategies()) {
+            const AnnotatedTrace serial = annotateTrace(base, s, kGeom);
+            const AnnotatedTrace parallel = annotateTrace(
+                base, strategyParams(s), kGeom, on_pool);
+            const std::string what =
+                workloadName(app) + "/" + strategyName(s);
+            ASSERT_EQ(parallel.trace.numProcs(), serial.trace.numProcs())
+                << what;
+            for (std::size_t p = 0; p < serial.trace.numProcs(); ++p) {
+                EXPECT_TRUE(parallel.trace.procs[p].records() ==
+                            serial.trace.procs[p].records())
+                    << what << " proc " << p;
+            }
+            EXPECT_EQ(parallel.trace.name, serial.trace.name);
+            EXPECT_EQ(parallel.trace.numLocks, serial.trace.numLocks);
+            EXPECT_EQ(parallel.trace.numBarriers, serial.trace.numBarriers);
+            const AnnotateStats &a = parallel.stats;
+            const AnnotateStats &b = serial.stats;
+            EXPECT_EQ(a.oracleCandidates, b.oracleCandidates) << what;
+            EXPECT_EQ(a.pwsCandidates, b.pwsCandidates) << what;
+            EXPECT_EQ(a.inserted, b.inserted) << what;
+            EXPECT_EQ(a.insertedExclusive, b.insertedExclusive) << what;
+            EXPECT_EQ(a.rtwExclusive, b.rtwExclusive) << what;
+            EXPECT_EQ(a.droppedShared, b.droppedShared) << what;
+            EXPECT_EQ(a.demandRefs, b.demandRefs) << what;
+        }
+    }
 }
 
 TEST(InserterDeathTest, ZeroDistanceIsFatal)

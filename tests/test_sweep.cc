@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "core/result_io.hh"
 #include "core/sweep.hh"
@@ -83,6 +86,66 @@ TEST(ThreadPool, TasksCanSubmitTasks)
     EXPECT_EQ(count.load(), 20);
 }
 
+TEST(ThreadPool, ParallelForRunsEachIndexOnce)
+{
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+        ThreadPool pool(jobs);
+        for (const std::size_t n : {0u, 1u, 2u, 16u, 1000u}) {
+            std::vector<std::atomic<int>> hits(n);
+            pool.parallelFor(n, [&](std::size_t i) { ++hits[i]; });
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1) << jobs << " jobs, n " << n;
+        }
+        pool.waitAll(); // Leftover helpers find nothing to claim.
+    }
+}
+
+TEST(ThreadPool, ParallelForAtOneJobStaysOnTheCaller)
+{
+    ThreadPool pool(1);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    pool.parallelFor(64, [&](std::size_t) {
+        if (std::this_thread::get_id() != caller)
+            ++elsewhere;
+    });
+    EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ThreadPool, ParallelForNeverExceedsTheWorkerCount)
+{
+    ThreadPool pool(3);
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    pool.parallelFor(64, [&](std::size_t) {
+        const int now = ++running;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        --running;
+    });
+    EXPECT_LE(peak.load(), 3);
+    EXPECT_GE(peak.load(), 1);
+}
+
+/** Every worker runs a parallelFor at once, so no helper can start
+ *  until a caller finishes: the callers must drain their own loops. */
+TEST(ThreadPool, ParallelForFromInsideAWorker)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        ThreadPool pool(jobs);
+        std::atomic<int> total{0};
+        for (unsigned t = 0; t < 2 * jobs; ++t) {
+            pool.submit([&] {
+                pool.parallelFor(50, [&](std::size_t) { ++total; });
+            });
+        }
+        pool.waitAll();
+        EXPECT_EQ(total.load(), static_cast<int>(100 * jobs)) << jobs;
+    }
+}
+
 TEST(ThreadPool, ResolveThreads)
 {
     EXPECT_EQ(ThreadPool::resolveThreads(3), 3u);
@@ -118,6 +181,29 @@ TEST(SweepEngine, ParallelMatchesSerialWorkbenchByteForByte)
     EXPECT_EQ(engine.counters().tracesGenerated, 3u);
     EXPECT_EQ(engine.counters().annotationsRun, 9u);
     EXPECT_EQ(engine.counters().simulationsRun, 18u);
+}
+
+/** NP's annotation is the trace stage's product itself, on demand and
+ *  inside a batch alike; it still counts as one annotation. */
+TEST(SweepEngine, NpAnnotationSharesTheBaseTrace)
+{
+    SweepEngine engine(tinyParams());
+    const ParallelTrace &base = engine.baseTrace(WorkloadKind::Mp3d);
+    const AnnotatedTrace &np =
+        engine.annotated(WorkloadKind::Mp3d, false, Strategy::NP);
+    EXPECT_EQ(&np.trace, &base);
+    EXPECT_EQ(np.stats.demandRefs, base.totalDemandRefs());
+    EXPECT_EQ(engine.counters().annotationsRun, 1u);
+
+    SweepOptions opts;
+    opts.jobs = 4;
+    SweepEngine batch(tinyParams(), CacheGeometry::paperDefault(), opts);
+    batch.enqueue(WorkloadKind::Water, false, Strategy::NP, 8);
+    batch.runPending();
+    EXPECT_EQ(&batch.annotated(WorkloadKind::Water, false, Strategy::NP)
+                   .trace,
+              &batch.baseTrace(WorkloadKind::Water));
+    EXPECT_EQ(batch.counters().annotationsRun, 1u);
 }
 
 TEST(SweepEngine, RelativeExecTimeMatchesWorkbench)

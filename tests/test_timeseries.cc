@@ -215,6 +215,39 @@ TEST(IntervalSamplerUnit, BoundaryOnRebasePointSkipsTheRow)
 /* Run-label parsing and report writers                                */
 /* ------------------------------------------------------------------ */
 
+/** Runs that share a label (bench_ablation_cache commits one per cache
+ *  size) serialise in one order whatever order workers committed them
+ *  in. */
+TEST(RunStoreOrder, EqualLabelsSerialiseIndependentlyOfCommitOrder)
+{
+    std::vector<TimeSeries> runs;
+    for (const Cycle interval : {300, 100, 200}) {
+        TimeSeries ts;
+        ts.label = "pverify/NP@8";
+        ts.interval = interval;
+        ts.procs = 2;
+        runs.push_back(ts);
+    }
+    TimeSeries other;
+    other.label = "mp3d/PREF@8";
+    other.interval = 50;
+
+    const auto document = [&](const std::vector<std::size_t> &order) {
+        TimeSeriesStore store;
+        for (const std::size_t i : order)
+            store.commit(i < runs.size() ? runs[i] : other);
+        std::ostringstream os;
+        store.writeJson(os);
+        return os.str();
+    };
+    const std::string forward = document({0, 1, 2, 3});
+    EXPECT_EQ(forward, document({2, 3, 1, 0}));
+    EXPECT_EQ(forward, document({1, 0, 3, 2}));
+    // Labels still decide first; the tie-break only orders the three
+    // pverify runs among themselves.
+    EXPECT_LT(forward.find("mp3d/PREF@8"), forward.find("pverify/NP@8"));
+}
+
 TEST(ReportLabels, ParseRoundTrip)
 {
     const auto r = report::parseRunLabel("topopt-r/PWS@8");
