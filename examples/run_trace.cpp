@@ -12,10 +12,15 @@
  *
  * Options: --ways N, --victim N, --cache KB, --line B, --distance N,
  *          --buffer N (prefetch buffer depth).
+ *
+ * A trace that cannot be read, or that the linter finds structurally
+ * broken (unpaired locks, mismatched barrier ids, ...), is reported
+ * with exit status 1 before anything is simulated.
  */
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +31,7 @@
 #include "trace/trace_io.hh"
 #include "trace/trace_io_binary.hh"
 #include "trace/trace_stats.hh"
+#include "verify/trace_lint.hh"
 
 using namespace prefsim;
 
@@ -66,7 +72,22 @@ main(int argc, char **argv)
     if (args.size() < 3)
         usage();
 
-    const ParallelTrace trace = readTraceAutoFile(args[0]);
+    ParallelTrace trace;
+    try {
+        trace = readTraceAutoFile(args[0]);
+    } catch (const std::runtime_error &e) {
+        std::cerr << "run_trace: " << args[0] << ": " << e.what() << "\n";
+        return 1;
+    }
+    // The simulator treats sync misuse as an internal invariant, so a
+    // broken user trace is stopped here with the linter's findings.
+    const verify::TraceLintReport lint = verify::lintTrace(trace);
+    if (!lint.ok()) {
+        std::cerr << "run_trace: " << args[0]
+                  << " is not a valid trace:\n";
+        verify::writeFindingsText(std::cerr, lint.findings);
+        return 1;
+    }
     const Strategy strategy = strategyFromName(args[1]);
     const Cycle transfer = std::strtoul(args[2].c_str(), nullptr, 10);
 

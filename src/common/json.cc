@@ -1,7 +1,8 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <ostream>
 
@@ -10,121 +11,27 @@
 namespace prefsim
 {
 
-JsonWriter::JsonWriter(std::ostream &os)
-    : os_(os)
-{}
+namespace
+{
 
+constexpr bool
+needsEscape(char ch)
+{
+    return ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20;
+}
+
+/** Append @p s to @p out, quoted and escaped. */
 void
-JsonWriter::separate()
+appendEscaped(std::string &out, std::string_view s)
 {
-    if (pending_key_) {
-        pending_key_ = false;
-        return; // The key already emitted its separator.
-    }
-    if (!has_.empty() && has_.back() == '1')
-        os_ << ",";
-    if (!has_.empty())
-        has_.back() = '1';
-}
-
-JsonWriter &
-JsonWriter::beginObject()
-{
-    separate();
-    os_ << "{";
-    state_.push_back('o');
-    has_.push_back('0');
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endObject()
-{
-    prefsim_assert(!state_.empty() && state_.back() == 'o',
-                   "endObject outside object");
-    os_ << "}";
-    state_.pop_back();
-    has_.pop_back();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::beginArray()
-{
-    separate();
-    os_ << "[";
-    state_.push_back('a');
-    has_.push_back('0');
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endArray()
-{
-    prefsim_assert(!state_.empty() && state_.back() == 'a',
-                   "endArray outside array");
-    os_ << "]";
-    state_.pop_back();
-    has_.pop_back();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::key(const std::string &name)
-{
-    prefsim_assert(!state_.empty() && state_.back() == 'o',
-                   "key outside object");
-    separate();
-    os_ << escape(name) << ":";
-    pending_key_ = true;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const std::string &v)
-{
-    separate();
-    os_ << escape(v);
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
-}
-
-JsonWriter &
-JsonWriter::value(double v)
-{
-    separate();
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os_ << buf;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::uint64_t v)
-{
-    separate();
-    os_ << v;
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    separate();
-    os_ << (v ? "true" : "false");
-    return *this;
-}
-
-std::string
-JsonWriter::escape(const std::string &s)
-{
-    std::string out = "\"";
-    for (char ch : s) {
+    out += '"';
+    std::size_t run = 0; // Start of the pending run of plain characters.
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char ch = s[i];
+        if (!needsEscape(ch))
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (ch) {
           case '"':
             out += "\\\"";
@@ -141,18 +48,161 @@ JsonWriter::escape(const std::string &s)
           case '\r':
             out += "\\r";
             break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(ch));
-                out += buf;
-            } else {
-                out += ch;
-            }
+          default: {
+              static constexpr char kHex[] = "0123456789abcdef";
+              const auto c = static_cast<unsigned char>(ch);
+              const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                   kHex[c & 0xf]};
+              out.append(esc, sizeof(esc));
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
     out += '"';
+}
+
+} // namespace
+
+JsonWriter::JsonWriter(std::ostream &os)
+    : os_(os)
+{}
+
+JsonWriter::~JsonWriter() { flush(); }
+
+void
+JsonWriter::valueDone()
+{
+    if (state_.empty() || buf_.size() >= kChunkBytes)
+        flush();
+}
+
+void
+JsonWriter::flush()
+{
+    for (std::size_t at = 0; at < buf_.size(); at += kChunkBytes) {
+        const std::size_t n = std::min(kChunkBytes, buf_.size() - at);
+        os_.write(buf_.data() + at, static_cast<std::streamsize>(n));
+    }
+    buf_.clear();
+}
+
+void
+JsonWriter::separate()
+{
+    if (pending_key_) {
+        pending_key_ = false;
+        return; // The key already emitted its separator.
+    }
+    if (!has_.empty() && has_.back() == '1')
+        buf_ += ',';
+    if (!has_.empty())
+        has_.back() = '1';
+}
+
+JsonWriter &
+JsonWriter::beginObject()
+{
+    separate();
+    buf_ += '{';
+    state_.push_back('o');
+    has_.push_back('0');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endObject()
+{
+    prefsim_assert(!state_.empty() && state_.back() == 'o',
+                   "endObject outside object");
+    buf_ += '}';
+    state_.pop_back();
+    has_.pop_back();
+    valueDone();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::beginArray()
+{
+    separate();
+    buf_ += '[';
+    state_.push_back('a');
+    has_.push_back('0');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endArray()
+{
+    prefsim_assert(!state_.empty() && state_.back() == 'a',
+                   "endArray outside array");
+    buf_ += ']';
+    state_.pop_back();
+    has_.pop_back();
+    valueDone();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    prefsim_assert(!state_.empty() && state_.back() == 'o',
+                   "key outside object");
+    separate();
+    appendEscaped(buf_, name);
+    buf_ += ':';
+    pending_key_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view v)
+{
+    separate();
+    appendEscaped(buf_, v);
+    valueDone();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(double v)
+{
+    separate();
+    // General format at precision 6 is specified as printf's "%.6g"
+    // (inf and nan included), without its locale and format parsing.
+    char buf[32];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 6);
+    buf_.append(buf, r.ptr);
+    valueDone();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::uint64_t v)
+{
+    separate();
+    char buf[20];
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+    buf_.append(buf, r.ptr);
+    valueDone();
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(bool v)
+{
+    separate();
+    buf_ += v ? "true" : "false";
+    valueDone();
+    return *this;
+}
+
+std::string
+JsonWriter::escape(std::string_view s)
+{
+    std::string out;
+    appendEscaped(out, s);
     return out;
 }
 

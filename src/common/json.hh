@@ -12,10 +12,12 @@
 #ifndef PREFSIM_COMMON_JSON_HH
 #define PREFSIM_COMMON_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,31 +34,48 @@ namespace prefsim
  *   j.key("cycles").value(123);
  *   j.key("procs").beginArray();
  *   ...
+ *
+ * Output is assembled in a buffer the writer owns and handed to the
+ * stream in chunks of at most kChunkBytes, and in full whenever a
+ * top-level value closes (and at destruction). So a caller may write to
+ * the stream itself between top-level values — a trailing newline, a
+ * second document — but not while one is open.
  */
 class JsonWriter
 {
   public:
+    /** Largest block handed to the stream in one write. */
+    static constexpr std::size_t kChunkBytes = 64 * 1024;
+
     explicit JsonWriter(std::ostream &os);
+    ~JsonWriter();
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &beginObject();
     JsonWriter &endObject();
     JsonWriter &beginArray();
     JsonWriter &endArray();
-    JsonWriter &key(const std::string &name);
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &key(std::string_view name);
+    JsonWriter &value(std::string_view v);
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
+    /** Formatted exactly as printf's "%.6g". */
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(bool v);
 
     /** Escape a string per JSON rules (quotes included). */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
     /** Emit a comma if the current container already has an element. */
     void separate();
+    /** A value ended: at the top level, hand everything to the stream. */
+    void valueDone();
+    void flush();
 
     std::ostream &os_;
+    std::string buf_;
     /** Per-depth flag: something was emitted at this level. */
     std::string state_; // 'o' object, 'a' array; paired with has_.
     std::string has_;

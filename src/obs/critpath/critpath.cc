@@ -49,6 +49,56 @@ CritPathRecorder::emitPiece(ProcId proc, Cycle start, Cycle end,
 }
 
 void
+CritPathRecorder::TxnTable::put(std::uint64_t id, const Txn &t)
+{
+    if (Txn *live = find(id)) {
+        *live = t;
+        return;
+    }
+    if (2 * (used_ + 1) > slots_.size()) {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        for (const Slot &s : old) {
+            if (s.id == kEmpty)
+                continue;
+            std::size_t i = home(s.id);
+            while (slots_[i].id != kEmpty)
+                i = next(i);
+            slots_[i] = s;
+        }
+    }
+    std::size_t i = home(id);
+    while (slots_[i].id != kEmpty)
+        i = next(i);
+    slots_[i] = Slot{id, t};
+    ++used_;
+}
+
+void
+CritPathRecorder::TxnTable::erase(std::uint64_t id)
+{
+    std::size_t hole = home(id);
+    while (slots_[hole].id != id) {
+        if (slots_[hole].id == kEmpty)
+            return;
+        hole = next(hole);
+    }
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless its home lies cyclically in (hole, j].
+    for (std::size_t j = next(hole); slots_[j].id != kEmpty; j = next(j)) {
+        const std::size_t h = home(slots_[j].id);
+        const bool stays = hole < j ? (h > hole && h <= j)
+                                    : (h > hole || h <= j);
+        if (!stays) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole] = Slot{};
+    --used_;
+}
+
+void
 CritPathRecorder::busRequest(std::uint64_t id, ProcId proc, Addr line,
                              Cycle now, bool prefetch, bool invalidation,
                              bool demand_wait)
@@ -59,37 +109,37 @@ CritPathRecorder::busRequest(std::uint64_t id, ProcId proc, Addr line,
     t.line = line;
     t.prefetch = prefetch;
     t.inval = invalidation;
-    txns_[id] = t;
+    txns_.put(id, t);
 }
 
 void
 CritPathRecorder::busGrant(std::uint64_t id, Cycle ready_at, Cycle now)
 {
-    const auto it = txns_.find(id);
-    if (it == txns_.end())
+    Txn *t = txns_.find(id);
+    if (!t)
         return; // Writebacks and other untracked traffic.
-    it->second.readyAt = ready_at;
-    it->second.grantAt = now;
+    t->readyAt = ready_at;
+    t->grantAt = now;
 }
 
 void
 CritPathRecorder::demandAttach(ProcId proc, std::uint64_t id, Cycle now)
 {
-    const auto it = txns_.find(id);
-    if (it == txns_.end())
+    Txn *t = txns_.find(id);
+    if (!t)
         return;
-    it->second.waiter = proc;
-    it->second.waitStart = now;
+    t->waiter = proc;
+    t->waitStart = now;
 }
 
 void
 CritPathRecorder::demandWaitEnd(ProcId proc, std::uint64_t id, Cycle now)
 {
-    const auto it = txns_.find(id);
-    if (it == txns_.end())
+    const Txn *live = txns_.find(id);
+    if (!live)
         return;
-    const Txn t = it->second;
-    txns_.erase(it);
+    const Txn t = *live;
+    txns_.erase(id);
     if (t.waitStart == kNoCycle)
         return;
     // Decompose [waitStart, now) into the memory phase, the arbitration
@@ -130,7 +180,7 @@ CritPathRecorder::upgradeStart(ProcId proc, std::uint64_t id, Addr line,
         t.waiter = proc;
         t.waitStart = now;
         t.line = line;
-        txns_[id] = t;
+        txns_.put(id, t);
     }
 }
 
@@ -149,11 +199,10 @@ CritPathRecorder::upgradeComplete(ProcId proc, Cycle now)
         return;
     }
     Cycle g = now;
-    const auto it = txns_.find(upgradeId_[proc]);
-    if (it != txns_.end()) {
-        if (it->second.grantAt != kNoCycle)
-            g = it->second.grantAt;
-        txns_.erase(it);
+    if (const Txn *t = txns_.find(upgradeId_[proc])) {
+        if (t->grantAt != kNoCycle)
+            g = t->grantAt;
+        txns_.erase(upgradeId_[proc]);
     }
     const Cycle a_end = std::min(std::max(g, s), now);
     emitPiece(proc, s, a_end, ResClass::BusArb, line, kNoProc, false);
@@ -165,9 +214,8 @@ void
 CritPathRecorder::lockWait(ProcId proc, SyncId lock, Cycle start, Cycle now)
 {
     ProcId pred = kNoProc;
-    const auto it = lockReleaser_.find(lock);
-    if (it != lockReleaser_.end() && it->second != proc)
-        pred = it->second;
+    if (lock < lockReleaser_.size() && lockReleaser_[lock] != proc)
+        pred = lockReleaser_[lock];
     emitPiece(proc, start, now, ResClass::Lock, kNoAddr, pred, false);
 }
 
@@ -201,7 +249,9 @@ struct WalkAccum
     std::array<std::uint64_t, kNumResClasses> path{};
     std::array<std::uint64_t, kNumResClasses> flagged{};
     std::vector<CritChainSeg> chain; ///< Descending start order.
-    std::unordered_map<Addr, std::uint64_t> lineCycles;
+    /** Line-attributed path cycles, one entry per piece (summed per
+     *  line at the end). */
+    std::vector<std::pair<Addr, std::uint64_t>> lineCycles;
 
     void
     add(ProcId proc, Cycle start, Cycle end, ResClass cls, Addr line,
@@ -214,7 +264,7 @@ struct WalkAccum
         if (prefetch)
             flagged[static_cast<std::size_t>(cls)] += len;
         if (line != kNoAddr && cls != ResClass::Compute)
-            lineCycles[line] += len;
+            lineCycles.emplace_back(line, len);
         if (!chain.empty()) {
             CritChainSeg &prev = chain.back();
             if (prev.proc == proc && prev.cls == cls &&
@@ -250,24 +300,27 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
         return run;
     }
 
-    // Clamp every piece to the measured region and compute machine-wide
-    // per-class totals (for slack).
-    std::vector<std::vector<Piece>> clamped(procs_);
+    // Clamp every piece to the measured region (in place: take() spends
+    // the recorder) and compute machine-wide per-class totals (for
+    // slack).
+    std::vector<std::vector<Piece>> &clamped = pieces_;
     std::vector<Cycle> finish(procs_);
     std::array<std::uint64_t, kNumResClasses> machine{};
     for (ProcId p = 0; p < procs_; ++p) {
         finish[p] = std::min(std::max(finished_at[p], warmup_end), done_at);
         std::uint64_t waits = 0;
-        for (const Piece &pc : pieces_[p]) {
-            Piece c = pc;
+        std::vector<Piece> &chain = clamped[p];
+        std::size_t kept = 0;
+        for (Piece c : chain) {
             c.start = std::max(c.start, warmup_end);
             c.end = std::min(c.end, done_at);
             if (c.end <= c.start)
                 continue;
             machine[static_cast<std::size_t>(c.cls)] += c.end - c.start;
             waits += c.end - c.start;
-            clamped[p].push_back(c);
+            chain[kept++] = c;
         }
+        chain.resize(kept);
         const std::uint64_t span = finish[p] - warmup_end;
         machine[static_cast<std::size_t>(ResClass::Compute)] +=
             span > waits ? span - waits : 0;
@@ -340,8 +393,15 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
             const Cycle hi = std::min(bounds[e + 1], finish[p]);
             active[e * procs_ + p] = hi > lo ? hi - lo : 0;
         }
+        // Pieces and episode bounds both ascend, so each piece starts
+        // its scan at the first episode that ends after the piece
+        // begins and stops at the first that begins after it ends.
+        std::size_t first = 0;
         for (const Piece &pc : clamped[p]) {
-            for (std::size_t e = 0; e < num_ep; ++e) {
+            while (first < num_ep && bounds[first + 1] <= pc.start)
+                ++first;
+            for (std::size_t e = first; e < num_ep && bounds[e] < pc.end;
+                 ++e) {
                 const Cycle lo = std::max(pc.start, bounds[e]);
                 const Cycle hi = std::min(pc.end, bounds[e + 1]);
                 if (hi <= lo)
@@ -414,7 +474,14 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
     }
     run.chain = std::move(acc.chain);
 
-    run.lines.assign(acc.lineCycles.begin(), acc.lineCycles.end());
+    std::sort(acc.lineCycles.begin(), acc.lineCycles.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    for (const auto &[line, len] : acc.lineCycles) {
+        if (!run.lines.empty() && run.lines.back().first == line)
+            run.lines.back().second += len;
+        else
+            run.lines.emplace_back(line, len);
+    }
     std::sort(run.lines.begin(), run.lines.end(),
               [](const auto &a, const auto &b) {
                   return a.second != b.second ? a.second > b.second

@@ -57,7 +57,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -170,6 +169,8 @@ class CritPathRecorder
     void
     lockReleased(ProcId proc, SyncId lock)
     {
+        if (lock >= lockReleaser_.size())
+            lockReleaser_.resize(std::size_t{lock} + 1, kNoProc);
         lockReleaser_[lock] = proc;
     }
     /** The last arriver (fires before the waiters are released). */
@@ -184,7 +185,8 @@ class CritPathRecorder
      * Run the backward walk and the what-if estimator over everything
      * recorded, clamped to [warmup_end, done_at), and return the
      * finished analysis. @p finished_at are the absolute per-processor
-     * retirement cycles. Call once, after the writeback drain.
+     * retirement cycles. Call once, after the writeback drain: the
+     * recorded pieces are clamped in place, so the recorder is spent.
      */
     CritPathRun take(Cycle warmup_end, Cycle done_at,
                      const std::vector<Cycle> &finished_at);
@@ -213,13 +215,67 @@ class CritPathRecorder
         bool inval = false;
     };
 
+    /**
+     * In-flight transactions keyed by bus id. Bus ids are dense and
+     * ascending, so an id's low bits are its home slot; linear probing
+     * with backward-shift deletion keeps the few live entries in a
+     * small table.
+     */
+    class TxnTable
+    {
+      public:
+        TxnTable() : slots_(kInitialSlots) {}
+
+        /** The transaction @p id; nullptr when it is not tracked. */
+        Txn *
+        find(std::uint64_t id)
+        {
+            for (std::size_t i = home(id);; i = next(i)) {
+                Slot &s = slots_[i];
+                if (s.id == id)
+                    return &s.txn;
+                if (s.id == kEmpty)
+                    return nullptr;
+            }
+        }
+
+        /** Track @p t as transaction @p id (replacing any earlier). */
+        void put(std::uint64_t id, const Txn &t);
+
+        /** Stop tracking @p id (no-op when it is not tracked). */
+        void erase(std::uint64_t id);
+
+      private:
+        static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+        static constexpr std::size_t kInitialSlots = 64;
+
+        struct Slot
+        {
+            std::uint64_t id = kEmpty;
+            Txn txn;
+        };
+
+        std::size_t
+        home(std::uint64_t id) const
+        {
+            return static_cast<std::size_t>(id) & (slots_.size() - 1);
+        }
+        std::size_t next(std::size_t i) const
+        {
+            return (i + 1) & (slots_.size() - 1);
+        }
+
+        std::vector<Slot> slots_;
+        std::size_t used_ = 0;
+    };
+
     void emitPiece(ProcId proc, Cycle start, Cycle end, ResClass cls,
                    Addr line, ProcId pred, bool prefetch);
 
     unsigned procs_;
     std::string label_;
     std::vector<std::vector<Piece>> pieces_; ///< Per proc, time-sorted.
-    std::unordered_map<std::uint64_t, Txn> txns_;
+    TxnTable txns_;
 
     // Per-processor open-wait state.
     std::vector<Cycle> upgradeStartAt_;
@@ -228,7 +284,8 @@ class CritPathRecorder
     std::vector<Addr> upgradeLine_;
 
     // Cross-chain predecessors.
-    std::unordered_map<SyncId, ProcId> lockReleaser_;
+    /** Last releaser of each lock id (kNoProc: never released). */
+    std::vector<ProcId> lockReleaser_;
     ProcId lastArriver_ = kNoProc;
     std::vector<Cycle> episodeEnds_; ///< Barrier release cycles.
 };

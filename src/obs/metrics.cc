@@ -54,6 +54,30 @@ Histogram::record(std::uint64_t v)
 }
 
 void
+HistogramTally::flush()
+{
+    if (count_ == 0)
+        return;
+    Histogram &h = *target_;
+    h.count_.fetch_add(count_, std::memory_order_relaxed);
+    h.sum_.fetch_add(sum_, std::memory_order_relaxed);
+    h.underflow_.fetch_add(underflow_, std::memory_order_relaxed);
+    h.overflow_.fetch_add(overflow_, std::memory_order_relaxed);
+    std::uint64_t cur = h.overflowMax_.load(std::memory_order_relaxed);
+    while (overflowMax_ > cur &&
+           !h.overflowMax_.compare_exchange_weak(
+               cur, overflowMax_, std::memory_order_relaxed,
+               std::memory_order_relaxed)) {
+    }
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+        if (counts_[i])
+            h.counts_[i].fetch_add(counts_[i], std::memory_order_relaxed);
+    }
+    std::fill(counts_.begin(), counts_.end(), 0);
+    underflow_ = overflow_ = overflowMax_ = count_ = sum_ = 0;
+}
+
+void
 Histogram::reset()
 {
     for (auto &c : counts_)

@@ -28,6 +28,7 @@
 #ifndef PREFSIM_OBS_METRICS_HH
 #define PREFSIM_OBS_METRICS_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -170,6 +171,8 @@ class Histogram
     void reset();
 
   private:
+    friend class HistogramTally;
+
     std::vector<std::uint64_t> bounds_;
     std::vector<std::atomic<std::uint64_t>> counts_;
     std::atomic<std::uint64_t> underflow_{0};
@@ -177,6 +180,73 @@ class Histogram
     std::atomic<std::uint64_t> overflowMax_{0};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> sum_{0};
+};
+
+/** Single-threaded count bound for one Counter, added at flush(). */
+class CounterTally
+{
+  public:
+    explicit CounterTally(Counter &target) : target_(&target) {}
+
+    void inc() { ++n_; }
+
+    /** Add the count to the target and start over. */
+    void
+    flush()
+    {
+        if (n_)
+            target_->inc(n_);
+        n_ = 0;
+    }
+
+  private:
+    Counter *target_;
+    std::uint64_t n_ = 0;
+};
+
+/**
+ * Single-threaded tally of values bound for one Histogram: a simulation
+ * run records here without atomics and adds everything to the shared
+ * histogram once, at flush(). Sums and maxima commute, so the histogram
+ * ends as if each value had been recorded there.
+ */
+class HistogramTally
+{
+  public:
+    explicit HistogramTally(Histogram &target)
+        : target_(&target), counts_(target.numBuckets())
+    {}
+
+    void
+    record(std::uint64_t v)
+    {
+        ++count_;
+        sum_ += v;
+        const std::vector<std::uint64_t> &b = target_->bounds();
+        if (v < b.front()) {
+            ++underflow_;
+        } else if (v >= b.back()) {
+            ++overflow_;
+            overflowMax_ = std::max(overflowMax_, v);
+        } else {
+            // As in Histogram::record: a value on a boundary lands in
+            // the bucket that boundary opens.
+            const auto it = std::upper_bound(b.begin(), b.end(), v);
+            ++counts_[static_cast<std::size_t>(it - b.begin()) - 1];
+        }
+    }
+
+    /** Add the tally to the target and start over. */
+    void flush();
+
+  private:
+    Histogram *target_;
+    std::vector<std::uint64_t> counts_;
+    std::uint64_t underflow_ = 0;
+    std::uint64_t overflow_ = 0;
+    std::uint64_t overflowMax_ = 0;
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 /**

@@ -41,14 +41,74 @@ ProfileTotals::of(const ProfileRun &run)
 
 AttributionProfiler::AttributionProfiler(unsigned procs,
                                          std::string label)
+    : slots_(kInitialSlots)
 {
     run_.label = std::move(label);
     run_.procs = procs;
 }
 
+std::uint32_t
+AttributionProfiler::insert(std::size_t at, Addr addr)
+{
+    if (2 * (lines_.size() + 1) > slots_.size()) {
+        std::vector<Slot> old(slots_.size() * 2);
+        old.swap(slots_);
+        const std::size_t mask = slots_.size() - 1;
+        for (const Slot &s : old) {
+            if (s.key == kNoAddr)
+                continue;
+            std::size_t i = home(s.key);
+            while (slots_[i].key != kNoAddr)
+                i = (i + 1) & mask;
+            slots_[i] = s;
+        }
+        return find(addr);
+    }
+    const auto record = static_cast<std::uint32_t>(lines_.size());
+    slots_[at] = Slot{addr, record};
+    lines_.push_back(LineRecord{addr, {}, kNone});
+    return record;
+}
+
+ProfilePrefetch &
+AttributionProfiler::prefetch(ProcId proc, Addr addr)
+{
+    LineRecord &l = lines_[find(addr)];
+    for (std::uint32_t i = l.firstPrefetch; i != kNone;
+         i = prefetches_[i].next) {
+        if (prefetches_[i].proc == proc)
+            return prefetches_[i].counts;
+    }
+    prefetches_.push_back(PrefetchRecord{proc, l.firstPrefetch, {}});
+    l.firstPrefetch = static_cast<std::uint32_t>(prefetches_.size() - 1);
+    return prefetches_.back().counts;
+}
+
+void
+AttributionProfiler::resetForWarmup()
+{
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    lines_.clear();
+    prefetches_.clear();
+}
+
 ProfileRun
 AttributionProfiler::take(Cycle warmup_end)
 {
+    std::sort(lines_.begin(), lines_.end(),
+              [](const LineRecord &a, const LineRecord &b) {
+                  return a.addr < b.addr;
+              });
+    for (const LineRecord &rec : lines_) {
+        ProfileLine &l =
+            run_.lines.emplace_hint(run_.lines.end(), rec.addr,
+                                    ProfileLine{})
+                ->second;
+        static_cast<ProfileLineCounts &>(l) = rec.counts;
+        for (std::uint32_t i = rec.firstPrefetch; i != kNone;
+             i = prefetches_[i].next)
+            l.prefetch.emplace(prefetches_[i].proc, prefetches_[i].counts);
+    }
     run_.warmupEnd = warmup_end;
     return std::move(run_);
 }

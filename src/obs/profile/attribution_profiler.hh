@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "obs/run_store.hh"
@@ -52,8 +53,9 @@ struct ProfilePrefetch
     std::uint64_t displaced = 0; ///< Evicted/discarded before first use.
 };
 
-/** Everything attributed to one cache line. */
-struct ProfileLine
+/** A cache line's own counters: everything attributed to it except
+ *  the per-processor prefetch outcomes. */
+struct ProfileLineCounts
 {
     /** @name Demand-miss taxonomy (MissBreakdown at line granularity).
      *  prefetchInflight counts demands that attached to an in-flight
@@ -80,7 +82,11 @@ struct ProfileLine
     std::uint64_t busCyclesPrefetch = 0; ///< ... by prefetch-class ops.
     std::uint64_t busOps = 0;            ///< Data-bus grants.
     /** @} */
+};
 
+/** Everything attributed to one cache line. */
+struct ProfileLine : ProfileLineCounts
+{
     /** Per-processor prefetch outcomes (ordered: serialisation emits
      *  the map directly). */
     std::map<unsigned, ProfilePrefetch> prefetch;
@@ -128,31 +134,85 @@ struct ProfileTotals
  * event straight into the matching line record, resets it at the
  * warmup statistics boundary and moves the finished run into the
  * ProfileStore.
+ *
+ * Recording is flat: an open-addressing table (Fibonacci-hashed line
+ * base -> record index) over dense line records, each heading a short
+ * list of per-processor prefetch outcomes in one shared array. The
+ * ordered ProfileRun is built once, at take().
  */
 class AttributionProfiler
 {
   public:
     AttributionProfiler(unsigned procs, std::string label);
 
-    /** The record of the line at @p addr (created on first use). */
-    ProfileLine &line(Addr addr) { return run_.lines[addr]; }
+    /** The counters of the line at @p addr (created on first use). The
+     *  reference stays valid until the next line is created. */
+    ProfileLineCounts &line(Addr addr) { return lines_[find(addr)].counts; }
 
-    /** @p proc's prefetch outcomes on the line at @p addr. */
-    ProfilePrefetch &
-    prefetch(ProcId proc, Addr addr)
-    {
-        return run_.lines[addr].prefetch[proc];
-    }
+    /** @p proc's prefetch outcomes on the line at @p addr. The
+     *  reference stays valid until the next record is created. */
+    ProfilePrefetch &prefetch(ProcId proc, Addr addr);
 
     /** Discard everything attributed so far (warmup statistics reset;
      *  all processors caught up). */
-    void resetForWarmup() { run_.lines.clear(); }
+    void resetForWarmup();
 
     /** Move the finished run out (the profiler is spent afterwards). */
     ProfileRun take(Cycle warmup_end);
 
   private:
-    ProfileRun run_;
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    static constexpr std::size_t kInitialSlots = 1024;
+
+    struct LineRecord
+    {
+        Addr addr = kNoAddr;
+        ProfileLineCounts counts;
+        std::uint32_t firstPrefetch = kNone; ///< Head of its list.
+    };
+    struct PrefetchRecord
+    {
+        ProcId proc = kNoProc;
+        std::uint32_t next = kNone; ///< Same line, another processor.
+        ProfilePrefetch counts;
+    };
+    struct Slot
+    {
+        Addr key = kNoAddr;
+        std::uint32_t record = 0;
+    };
+
+    /** Index of @p addr's line record, created when absent. */
+    std::uint32_t
+    find(Addr addr)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = home(addr);; i = (i + 1) & mask) {
+            const Slot &s = slots_[i];
+            if (s.key == addr)
+                return s.record;
+            if (s.key == kNoAddr)
+                return insert(i, addr);
+        }
+    }
+
+    /** Fibonacci hashing (the MemorySystem holder-table idiom). */
+    std::size_t
+    home(Addr key) const
+    {
+        return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >>
+                                        32) &
+               (slots_.size() - 1);
+    }
+
+    /** Add @p addr's record in the empty slot @p at (growing first when
+     *  the table would pass half full). */
+    std::uint32_t insert(std::size_t at, Addr addr);
+
+    std::vector<Slot> slots_;
+    std::vector<LineRecord> lines_;
+    std::vector<PrefetchRecord> prefetches_;
+    ProfileRun run_; ///< Label and shape; the lines are filled at take().
 };
 
 /** Finished profile runs of a sweep, owned by the ObsContext. */

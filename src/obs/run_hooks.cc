@@ -37,24 +37,24 @@ RunHooks::RunHooks(ObsContext &ctx, unsigned procs, const std::string &label,
       // Bus: queue depth seen by arriving requests, and the arbitration
       // wait of each class (paper §3.3's demand-first policy made
       // visible).
-      queue_depth_(&ctx.metrics.histogram("bus.queue_depth",
-                                          linearBounds(32))),
-      arb_wait_demand_(&ctx.metrics.histogram("bus.arb_wait_demand",
-                                              powerOfTwoBounds(14))),
-      arb_wait_prefetch_(&ctx.metrics.histogram("bus.arb_wait_prefetch",
-                                                powerOfTwoBounds(14))),
-      prefetch_lateness_(&ctx.metrics.histogram("prefetch.lateness_cycles",
-                                                powerOfTwoBounds(14))),
+      queue_depth_(ctx.metrics.histogram("bus.queue_depth",
+                                         linearBounds(32))),
+      arb_wait_demand_(ctx.metrics.histogram("bus.arb_wait_demand",
+                                             powerOfTwoBounds(14))),
+      arb_wait_prefetch_(ctx.metrics.histogram("bus.arb_wait_prefetch",
+                                               powerOfTwoBounds(14))),
+      prefetch_lateness_(ctx.metrics.histogram("prefetch.lateness_cycles",
+                                               powerOfTwoBounds(14))),
       // Caches: machine totals (per-processor splits live in ProcStats).
-      evictions_(&ctx.metrics.counter("cache.evictions")),
-      evictions_dirty_(&ctx.metrics.counter("cache.evictions_dirty")),
+      evictions_(ctx.metrics.counter("cache.evictions")),
+      evictions_dirty_(ctx.metrics.counter("cache.evictions_dirty")),
       evictions_prefetch_unused_(
-          &ctx.metrics.counter("cache.evictions_prefetch_unused")),
-      invalidations_(&ctx.metrics.counter("coherence.invalidations")),
-      downgrades_(&ctx.metrics.counter("coherence.downgrades")),
-      dead_fills_(&ctx.metrics.counter("coherence.dead_fills")),
+          ctx.metrics.counter("cache.evictions_prefetch_unused")),
+      invalidations_(ctx.metrics.counter("coherence.invalidations")),
+      downgrades_(ctx.metrics.counter("coherence.downgrades")),
+      dead_fills_(ctx.metrics.counter("coherence.dead_fills")),
       late_demand_attach_(
-          &ctx.metrics.counter("prefetch.late_demand_attach"))
+          ctx.metrics.counter("prefetch.late_demand_attach"))
 {
     // Null when tracing is disabled or the session budget is spent.
     trace_ = ctx.tracer.beginSession(procs, label);
@@ -66,13 +66,28 @@ RunHooks::RunHooks(ObsContext &ctx, unsigned procs, const std::string &label,
         stalls_.resize(procs);
 }
 
+RunHooks::~RunHooks() { flushMetrics(); }
+
+void
+RunHooks::flushMetrics()
+{
+    for (HistogramTally *h : {&queue_depth_, &arb_wait_demand_,
+                              &arb_wait_prefetch_, &prefetch_lateness_})
+        h->flush();
+    for (CounterTally *c :
+         {&evictions_, &evictions_dirty_, &evictions_prefetch_unused_,
+          &invalidations_, &downgrades_, &dead_fills_,
+          &late_demand_attach_})
+        c->flush();
+}
+
 void
 RunHooks::busGrant(std::uint64_t id, Addr line, ProcId requester,
                    Cycle ready_at, Cycle now, Cycle occupancy, bool demand,
                    bool overlapping)
 {
     if (profile_) {
-        ProfileLine &l = profile_->line(line);
+        ProfileLineCounts &l = profile_->line(line);
         l.busCycles += occupancy;
         if (!demand)
             l.busCyclesPrefetch += occupancy;
@@ -80,7 +95,7 @@ RunHooks::busGrant(std::uint64_t id, Addr line, ProcId requester,
     }
     if (critpath_)
         critpath_->busGrant(id, ready_at, now);
-    (demand ? arb_wait_demand_ : arb_wait_prefetch_)->record(now - ready_at);
+    (demand ? arb_wait_demand_ : arb_wait_prefetch_).record(now - ready_at);
     // With a single channel grants are strictly sequential, so a
     // synchronous span nests; parallel channels overlap and need async
     // pairing.
@@ -99,11 +114,11 @@ RunHooks::busGrant(std::uint64_t id, Addr line, ProcId requester,
 void
 RunHooks::evict(ProcId proc, Addr line, bool dirty, bool unused_prefetch)
 {
-    evictions_->inc();
+    evictions_.inc();
     if (dirty)
-        evictions_dirty_->inc();
+        evictions_dirty_.inc();
     if (unused_prefetch) {
-        evictions_prefetch_unused_->inc();
+        evictions_prefetch_unused_.inc();
         if (profile_)
             ++profile_->prefetch(proc, line).displaced;
     }
@@ -112,7 +127,7 @@ RunHooks::evict(ProcId proc, Addr line, bool dirty, bool unused_prefetch)
 void
 RunHooks::downgrade(ProcId proc, Addr line, ProcId requester, Cycle now)
 {
-    downgrades_->inc();
+    downgrades_.inc();
     if (profile_)
         ++profile_->line(line).downgrades;
     if (TraceBuffer *t = tracing()) {
@@ -125,18 +140,18 @@ void
 RunHooks::invalidate(ProcId proc, Addr line, ProcId requester, Cycle now,
                      bool false_sharing, bool kills_prefetch)
 {
-    invalidations_->inc();
+    invalidations_.inc();
     if (TraceBuffer *t = tracing()) {
         t->instant(proc, "invalidate", TraceCat::Coherence, now, line,
                    requester);
     }
     if (profile_) {
-        ProfileLine &l = profile_->line(line);
+        ProfileLineCounts &l = profile_->line(line);
         ++l.invalidations;
         if (false_sharing)
             ++l.invalidationsFalse;
         if (kills_prefetch)
-            ++l.prefetch[proc].killed;
+            ++profile_->prefetch(proc, line).killed;
     }
 }
 
@@ -144,16 +159,15 @@ void
 RunHooks::inflightKill(ProcId proc, Addr line, ProcId requester, Cycle now,
                        bool prefetch)
 {
-    invalidations_->inc();
+    invalidations_.inc();
     if (TraceBuffer *t = tracing()) {
         t->instant(proc, "kill_inflight_fill", TraceCat::Coherence, now,
                    line, requester);
     }
     if (profile_) {
-        ProfileLine &l = profile_->line(line);
-        ++l.inflightKills;
+        ++profile_->line(line).inflightKills;
         if (prefetch)
-            ++l.prefetch[proc].killed;
+            ++profile_->prefetch(proc, line).killed;
     }
 }
 
@@ -163,7 +177,7 @@ RunHooks::missClassified(Addr line, bool invalidation, bool prefetched_lost,
 {
     if (!profile_)
         return;
-    ProfileLine &l = profile_->line(line);
+    ProfileLineCounts &l = profile_->line(line);
     if (invalidation)
         ++(prefetched_lost ? l.missInvalidationPrefetched
                            : l.missInvalidation);
@@ -178,14 +192,13 @@ RunHooks::demandAttach(ProcId proc, std::uint64_t id, Addr line, Cycle now)
 {
     if (critpath_)
         critpath_->demandAttach(proc, id, now);
-    late_demand_attach_->inc();
+    late_demand_attach_.inc();
     if (profile_) {
         // A demand MSHR carries demandWaiting from allocation, so an
         // attach is always to an in-flight *prefetch*: the late
         // outcome, plus its own miss row.
-        ProfileLine &l = profile_->line(line);
-        ++l.missPrefetchInflight;
-        ++l.prefetch[proc].late;
+        ++profile_->line(line).missPrefetchInflight;
+        ++profile_->prefetch(proc, line).late;
     }
     if (TraceBuffer *t = tracing())
         t->instant(proc, "late_demand_attach", TraceCat::Prefetch, now, line);
@@ -207,13 +220,13 @@ RunHooks::fillComplete(ProcId proc, std::uint64_t id, Addr line, Cycle now,
     // ProcStats; the lateness isolates the residual latency
     // prefetching failed to hide.)
     if (prefetch && demand_waiting) {
-        prefetch_lateness_->record(now - attached_at);
+        prefetch_lateness_.record(now - attached_at);
         if (profile_)
             profile_->prefetch(proc, line).latenessCycles +=
                 now - attached_at;
     }
     if (dead)
-        dead_fills_->inc();
+        dead_fills_.inc();
     if (TraceBuffer *t = tracing()) {
         t->instant(proc,
                    dead       ? "dead_fill"
@@ -294,6 +307,7 @@ void
 RunHooks::commit(Cycle warmup_end, Cycle done_at,
                  const std::vector<Cycle> &finished_at)
 {
+    flushMetrics();
     if (profile_) {
         ctx_.profile.commit(profile_->take(warmup_end));
         profile_.reset();

@@ -64,10 +64,14 @@ class RunHooks
      *  and critical-path recorder when asked. */
     RunHooks(ObsContext &ctx, unsigned procs, const std::string &label,
              bool profile, bool critpath);
+    /** Flushes any metric events that arrived after commit(). */
+    ~RunHooks();
+    RunHooks(const RunHooks &) = delete;
+    RunHooks &operator=(const RunHooks &) = delete;
 
     /** @name Bus. @{ */
     /** A data-class operation entered the bus behind @p queued others. */
-    void busRequest(std::size_t queued) { queue_depth_->record(queued); }
+    void busRequest(std::size_t queued) { queue_depth_.record(queued); }
 
     /** The data bus granted transaction @p id for @p occupancy cycles;
      *  its memory phase ended at @p ready_at. @p overlapping: several
@@ -227,11 +231,12 @@ class RunHooks
             profile_->resetForWarmup();
     }
 
-    /** Commit the finished run to the ObsContext stores: the profile,
-     *  the critical-path analysis over [@p warmup_end, @p done_at)
-     *  given the absolute retirement cycles @p finished_at, and the
-     *  trace session. Call after the writeback drain; the recorders
-     *  are spent afterwards and later events reach the metrics only. */
+    /** Commit the finished run to the ObsContext stores: the machine
+     *  metrics tallied so far, the profile, the critical-path analysis
+     *  over [@p warmup_end, @p done_at) given the absolute retirement
+     *  cycles @p finished_at, and the trace session. Call after the
+     *  writeback drain; the recorders are spent afterwards and later
+     *  events reach the metrics only (flushed at destruction). */
     void commit(Cycle warmup_end, Cycle done_at,
                 const std::vector<Cycle> &finished_at);
     /** @} */
@@ -267,19 +272,24 @@ class RunHooks
         return s.begin;
     }
 
+    /** Add the metric tallies to the shared registry. */
+    void flushMetrics();
+
     ObsContext &ctx_;
 
-    Histogram *queue_depth_;
-    Histogram *arb_wait_demand_;
-    Histogram *arb_wait_prefetch_;
-    Histogram *prefetch_lateness_;
-    Counter *evictions_;
-    Counter *evictions_dirty_;
-    Counter *evictions_prefetch_unused_;
-    Counter *invalidations_;
-    Counter *downgrades_;
-    Counter *dead_fills_;
-    Counter *late_demand_attach_;
+    /** The machine metrics, tallied per run without atomics and added
+     *  to the ObsContext registry by flushMetrics(). */
+    HistogramTally queue_depth_;
+    HistogramTally arb_wait_demand_;
+    HistogramTally arb_wait_prefetch_;
+    HistogramTally prefetch_lateness_;
+    CounterTally evictions_;
+    CounterTally evictions_dirty_;
+    CounterTally evictions_prefetch_unused_;
+    CounterTally invalidations_;
+    CounterTally downgrades_;
+    CounterTally dead_fills_;
+    CounterTally late_demand_attach_;
 
     std::unique_ptr<AttributionProfiler> profile_;
     std::unique_ptr<CritPathRecorder> critpath_;

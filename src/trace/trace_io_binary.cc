@@ -1,9 +1,13 @@
 #include "trace/trace_io_binary.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/log.hh"
 #include "trace/trace_io.hh"
@@ -17,31 +21,91 @@ namespace
 constexpr char kMagic[4] = {'P', 'F', 'S', '2'};
 
 void
-putVarint(std::ostream &os, std::uint64_t v)
+putVarint(std::string &out, std::uint64_t v)
 {
     while (v >= 0x80) {
-        os.put(static_cast<char>((v & 0x7f) | 0x80));
+        out += static_cast<char>((v & 0x7f) | 0x80);
         v >>= 7;
     }
-    os.put(static_cast<char>(v));
+    out += static_cast<char>(v);
 }
 
-std::uint64_t
-getVarint(std::istream &is)
+/** Decoding cursor over the in-memory image of a binary trace. */
+class ImageReader
 {
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    for (;;) {
-        const int c = is.get();
-        if (c == EOF)
-            throw std::runtime_error("binary trace: truncated varint");
-        v |= std::uint64_t{static_cast<unsigned>(c) & 0x7f} << shift;
-        if ((c & 0x80) == 0)
-            return v;
-        shift += 7;
-        if (shift >= 64)
-            throw std::runtime_error("binary trace: varint overflow");
+  public:
+    explicit ImageReader(std::string_view image)
+        : p_(image.data()), end_(image.data() + image.size())
+    {}
+
+    std::size_t remaining() const
+    {
+        return static_cast<std::size_t>(end_ - p_);
     }
+
+    /** The next byte, or -1 at the end of the image. */
+    int
+    byte()
+    {
+        return p_ == end_ ? -1 : static_cast<unsigned char>(*p_++);
+    }
+
+    std::uint64_t
+    varint()
+    {
+        std::uint64_t v = 0;
+        unsigned shift = 0;
+        for (;;) {
+            const int c = byte();
+            if (c < 0)
+                throw std::runtime_error("binary trace: truncated varint");
+            v |= std::uint64_t{static_cast<unsigned>(c) & 0x7f} << shift;
+            if ((c & 0x80) == 0)
+                return v;
+            shift += 7;
+            if (shift >= 64)
+                throw std::runtime_error("binary trace: varint overflow");
+        }
+    }
+
+    /** The next @p n bytes; nullopt (nothing consumed) when fewer are
+     *  left. */
+    std::optional<std::string_view>
+    bytes(std::size_t n)
+    {
+        if (n > remaining())
+            return std::nullopt;
+        const std::string_view out(p_, n);
+        p_ += n;
+        return out;
+    }
+
+  private:
+    const char *p_;
+    const char *end_;
+};
+
+/** Everything left in @p is, in one read when the stream can seek. */
+std::string
+readRest(std::istream &is)
+{
+    std::string image;
+    const std::istream::pos_type here = is.tellg();
+    if (here != std::istream::pos_type(-1) &&
+        is.seekg(0, std::ios::end)) {
+        const std::istream::pos_type end = is.tellg();
+        is.seekg(here);
+        if (end != std::istream::pos_type(-1) && end >= here) {
+            image.resize(static_cast<std::size_t>(end - here));
+            is.read(image.data(), static_cast<std::streamsize>(image.size()));
+            image.resize(static_cast<std::size_t>(is.gcount()));
+            return image;
+        }
+    }
+    is.clear();
+    image.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+    return image;
 }
 
 constexpr std::uint64_t
@@ -63,39 +127,47 @@ unzigzag(std::uint64_t v)
 void
 writeTraceBinary(std::ostream &os, const ParallelTrace &trace)
 {
-    os.write(kMagic, sizeof(kMagic));
-    putVarint(os, trace.numProcs());
-    putVarint(os, trace.numLocks);
-    putVarint(os, trace.numBarriers);
-    putVarint(os, trace.name.size());
-    os.write(trace.name.data(),
-             static_cast<std::streamsize>(trace.name.size()));
+    // The whole file is encoded in memory and written at once. Records
+    // average under three bytes; the reserve covers the usual case.
+    std::size_t records = 0;
+    for (const auto &proc : trace.procs)
+        records += proc.size();
+    std::string image;
+    image.reserve(64 + trace.name.size() + 3 * records);
+    image.append(kMagic, sizeof(kMagic));
+    putVarint(image, trace.numProcs());
+    putVarint(image, trace.numLocks);
+    putVarint(image, trace.numBarriers);
+    putVarint(image, trace.name.size());
+    image += trace.name;
 
     for (const auto &proc : trace.procs) {
-        putVarint(os, proc.size());
+        putVarint(image, proc.size());
         Addr prev = 0;
         for (const auto &r : proc.records()) {
-            os.put(static_cast<char>(r.kind));
+            image += static_cast<char>(r.kind);
             switch (r.kind) {
               case RecordKind::Instr:
-                putVarint(os, r.count);
+                putVarint(image, r.count);
                 break;
               case RecordKind::Read:
               case RecordKind::Write:
               case RecordKind::Prefetch:
               case RecordKind::PrefetchExcl:
-                putVarint(os, zigzag(static_cast<std::int64_t>(r.addr) -
-                                     static_cast<std::int64_t>(prev)));
+                // Deltas wrap modulo 2^64 (no signed overflow).
+                putVarint(image, zigzag(static_cast<std::int64_t>(
+                                     r.addr - prev)));
                 prev = r.addr;
                 break;
               case RecordKind::LockAcquire:
               case RecordKind::LockRelease:
               case RecordKind::Barrier:
-                putVarint(os, r.sync);
+                putVarint(image, r.sync);
                 break;
             }
         }
     }
+    os.write(image.data(), static_cast<std::streamsize>(image.size()));
 }
 
 void
@@ -112,48 +184,50 @@ writeTraceBinaryFile(const std::string &path, const ParallelTrace &trace)
 ParallelTrace
 readTraceBinary(std::istream &is)
 {
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    if (is.gcount() != sizeof(magic) ||
-        !std::equal(magic, magic + 4, kMagic))
+    const std::string image = readRest(is);
+    ImageReader in(image);
+    const auto magic = in.bytes(sizeof(kMagic));
+    if (!magic || !std::equal(magic->begin(), magic->end(), kMagic))
         throw std::runtime_error("binary trace: bad magic");
 
     ParallelTrace trace;
-    const auto num_procs = getVarint(is);
+    const auto num_procs = in.varint();
     if (num_procs > 32)
         throw std::runtime_error("binary trace: too many processors");
-    trace.numLocks = static_cast<SyncId>(getVarint(is));
-    trace.numBarriers = static_cast<SyncId>(getVarint(is));
-    const auto name_len = getVarint(is);
+    trace.numLocks = static_cast<SyncId>(in.varint());
+    trace.numBarriers = static_cast<SyncId>(in.varint());
+    const auto name_len = in.varint();
     if (name_len > 4096)
         throw std::runtime_error("binary trace: oversized name");
-    trace.name.resize(name_len);
-    is.read(trace.name.data(), static_cast<std::streamsize>(name_len));
-    if (is.gcount() != static_cast<std::streamsize>(name_len))
+    const auto name = in.bytes(name_len);
+    if (!name)
         throw std::runtime_error("binary trace: truncated name");
+    trace.name = *name;
 
     trace.procs.resize(num_procs);
     for (auto &proc : trace.procs) {
-        const auto count = getVarint(is);
-        proc.reserve(count);
+        const auto count = in.varint();
+        // A record takes at least two bytes, so a count the image
+        // cannot hold reserves no more than it could; the loop below
+        // then reports the truncation.
+        proc.reserve(std::min<std::uint64_t>(count, in.remaining() / 2));
         Addr prev = 0;
         for (std::uint64_t i = 0; i < count; ++i) {
-            const int tag = is.get();
-            if (tag == EOF)
+            const int tag = in.byte();
+            if (tag < 0)
                 throw std::runtime_error("binary trace: truncated record");
             const auto kind = static_cast<RecordKind>(tag);
             switch (kind) {
               case RecordKind::Instr:
                 proc.records().push_back(TraceRecord::instr(
-                    static_cast<std::uint32_t>(getVarint(is))));
+                    static_cast<std::uint32_t>(in.varint())));
                 break;
               case RecordKind::Read:
               case RecordKind::Write:
               case RecordKind::Prefetch:
               case RecordKind::PrefetchExcl: {
-                const Addr addr = static_cast<Addr>(
-                    static_cast<std::int64_t>(prev) +
-                    unzigzag(getVarint(is)));
+                const Addr addr =
+                    prev + static_cast<Addr>(unzigzag(in.varint()));
                 prev = addr;
                 TraceRecord r;
                 r.kind = kind;
@@ -166,7 +240,7 @@ readTraceBinary(std::istream &is)
               case RecordKind::Barrier: {
                 TraceRecord r;
                 r.kind = kind;
-                r.sync = static_cast<SyncId>(getVarint(is));
+                r.sync = static_cast<SyncId>(in.varint());
                 proc.records().push_back(r);
                 break;
               }

@@ -22,11 +22,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hh"
+#include "common/json.hh"
 #include "obs/obs.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
@@ -199,6 +202,74 @@ TEST(ProfileAggregates, LinesSumToRunAggregates)
             EXPECT_GT(t.pfUseful, 0u) << what;
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Flat recording: the same run as keyed-map recording                 */
+/* ------------------------------------------------------------------ */
+
+/** Serialise @p run as its profile-document object. */
+std::string
+runJson(const obs::ProfileRun &run)
+{
+    std::ostringstream os;
+    JsonWriter j(os);
+    obs::ProfileStore::writeRunJson(j, run);
+    return os.str();
+}
+
+TEST(ProfileFlatTable, MatchesMapRecordingOfTheSameHooks)
+{
+    // Every counter the event sink touches, driven by a fixed-seed
+    // hook sequence over enough lines to grow the table several times,
+    // with a warmup reset part-way. The reference records each event
+    // straight into the ordered maps, as the profiler once did.
+    using Line = obs::ProfileLineCounts;
+    using Pf = obs::ProfilePrefetch;
+    static constexpr std::uint64_t Line::*kLineFields[] = {
+        &Line::missNonSharing,     &Line::missNonSharingPrefetched,
+        &Line::missInvalidation,   &Line::missInvalidationPrefetched,
+        &Line::missPrefetchInflight, &Line::missFalseSharing,
+        &Line::invalidations,      &Line::invalidationsFalse,
+        &Line::downgrades,         &Line::inflightKills,
+        &Line::busCycles,          &Line::busCyclesPrefetch,
+        &Line::busOps};
+    static constexpr std::uint64_t Pf::*kPfFields[] = {
+        &Pf::issued, &Pf::useful,  &Pf::late,
+        &Pf::latenessCycles, &Pf::killed, &Pf::displaced};
+    constexpr std::size_t kNumLine = std::size(kLineFields);
+    constexpr std::size_t kNumOps = kNumLine + std::size(kPfFields);
+
+    constexpr unsigned kProcs = 16;
+    obs::AttributionProfiler flat(kProcs, "mp3d/PREF@8");
+    obs::ProfileRun ref;
+    ref.label = "mp3d/PREF@8";
+    ref.procs = kProcs;
+    std::mt19937_64 rng(20261021);
+    for (int step = 0; step < 200000; ++step) {
+        if (step == 60000) {
+            flat.resetForWarmup();
+            ref.lines.clear();
+        }
+        const std::uint64_t r = rng();
+        // Line bases 32 bytes apart; a few hot lines take most events.
+        const Addr line =
+            0x10000 + 32 * (r % 4 == 0 ? (r >> 8) % 16 : (r >> 8) % 9000);
+        const auto proc = static_cast<ProcId>((r >> 32) % kProcs);
+        const std::uint64_t by = (r >> 40) % 50 + 1;
+        const std::size_t op = (r >> 48) % kNumOps;
+        if (op < kNumLine) {
+            flat.line(line).*kLineFields[op] += by;
+            ref.lines[line].*kLineFields[op] += by;
+        } else {
+            flat.prefetch(proc, line).*kPfFields[op - kNumLine] += by;
+            ref.lines[line].prefetch[proc].*kPfFields[op - kNumLine] += by;
+        }
+    }
+    ref.warmupEnd = 4242;
+    const obs::ProfileRun got = flat.take(4242);
+    EXPECT_GT(got.lines.size(), 8000u);
+    EXPECT_EQ(runJson(got), runJson(ref));
 }
 
 /* ------------------------------------------------------------------ */

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -215,6 +218,139 @@ TEST(Json, WriterShapes)
     j.key("d").value("x");
     j.endObject();
     EXPECT_EQ(os.str(), "{\"a\":1,\"b\":[2,3],\"c\":true,\"d\":\"x\"}");
+}
+
+/** What printf's "%.6g" makes of @p v. */
+std::string
+printfG6(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g", v);
+    return buf;
+}
+
+/** A whole document holding the one value @p v. */
+std::string
+writtenDouble(double v)
+{
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.value(v);
+    return os.str();
+}
+
+TEST(Json, DoublesMatchPrintfG6)
+{
+    const double cases[] = {
+        0.0,
+        -0.0,
+        1e-7,
+        0.1,
+        123456.5,
+        1e16,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        // Rounding boundaries of six significant digits and of the
+        // fixed/exponent switch.
+        999999.5,
+        9.999995e-5,
+        0.0001,
+        1e5,
+        -2.5,
+        1.0 / 3.0,
+        std::numeric_limits<double>::max(),
+    };
+    for (const double v : cases)
+        EXPECT_EQ(writtenDouble(v), printfG6(v)) << "value " << v;
+}
+
+TEST(Json, EscapesQuotesBackslashAndControls)
+{
+    std::string all_controls;
+    for (int c = 0; c < 0x20; ++c)
+        all_controls += static_cast<char>(c);
+    EXPECT_EQ(JsonWriter::escape(all_controls),
+              "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006"
+              "\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+              "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016"
+              "\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d"
+              "\\u001e\\u001f\"");
+    EXPECT_EQ(JsonWriter::escape("a\"b\\c/d\x7f\xc3\xa9"),
+              "\"a\\\"b\\\\c/d\x7f\xc3\xa9\"");
+
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.beginObject();
+    j.key("k\"ey").value(std::string("v\\al\n"));
+    j.endObject();
+    EXPECT_EQ(os.str(), "{\"k\\\"ey\":\"v\\\\al\\n\"}");
+}
+
+TEST(Json, TopLevelCloseReachesTheStreamBeforeCallerWrites)
+{
+    // RunStore::writeDocument's shape: a document, then the caller's
+    // own newline, with the writer still alive.
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.beginObject();
+    j.key("a").beginArray().value(std::uint64_t{1}).endArray();
+    j.endObject();
+    os << "\n";
+    EXPECT_EQ(os.str(), "{\"a\":[1]}\n");
+}
+
+TEST(Json, TwoDocumentsShareOneStream)
+{
+    std::ostringstream os;
+    {
+        JsonWriter first(os);
+        first.beginArray().value(true).endArray();
+        os << "\n";
+        JsonWriter second(os);
+        second.beginObject().key("x").value(0.5).endObject();
+        os << "\n";
+        first.value("third");
+        os << "\n";
+    }
+    EXPECT_EQ(os.str(), "[true]\n{\"x\":0.5}\n\"third\"\n");
+}
+
+/** Records the size of every block handed to it. */
+class BlockLog : public std::stringbuf
+{
+  public:
+    std::vector<std::streamsize> blocks;
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        blocks.push_back(n);
+        return std::stringbuf::xsputn(s, n);
+    }
+};
+
+TEST(Json, LongDocumentsReachTheStreamInBoundedChunks)
+{
+    BlockLog log;
+    std::ostream os(&log);
+    JsonWriter j(os);
+    j.beginArray();
+    std::size_t expected = 1;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+        j.value(i);
+        expected += std::to_string(i).size() + (i ? 1 : 0);
+    }
+    // The open document is already partly in the stream.
+    EXPECT_FALSE(log.blocks.empty());
+    EXPECT_LT(log.str().size(), expected);
+    j.endArray();
+    ++expected;
+    EXPECT_EQ(log.str().size(), expected);
+    for (const std::streamsize n : log.blocks)
+        EXPECT_LE(n, static_cast<std::streamsize>(JsonWriter::kChunkBytes));
 }
 
 TEST(Json, SimStatsRoundShape)

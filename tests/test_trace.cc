@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/trace.hh"
 #include "trace/trace_io.hh"
@@ -299,6 +302,84 @@ TEST(TraceIoBinary, LargeDeltasAndAllKinds)
         EXPECT_EQ(back.procs[0][i], pt.procs[0][i]);
 }
 
+/** The binary image of @p pt. */
+std::string
+binaryImage(const ParallelTrace &pt)
+{
+    std::ostringstream os;
+    writeTraceBinary(os, pt);
+    return os.str();
+}
+
+/** The reader's complaint about @p bytes ("" when they parse). Only a
+ *  std::runtime_error is a complaint; anything else fails the test. */
+std::string
+readError(const std::string &bytes)
+{
+    std::istringstream is(bytes);
+    try {
+        readTraceBinary(is);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TraceIoBinary, KeepsEveryErrorMessage)
+{
+    const std::string hdr = std::string("PFS2") + '\x01' + '\x00' + '\x00';
+    EXPECT_EQ(readError("PFS"), "binary trace: bad magic");
+    EXPECT_EQ(readError("PFS2"), "binary trace: truncated varint");
+    EXPECT_EQ(readError(std::string("PFS2") + '\x21'),
+              "binary trace: too many processors");
+    EXPECT_EQ(readError("PFS2" + std::string(10, '\xff')),
+              "binary trace: varint overflow");
+    EXPECT_EQ(readError(hdr + "\x89\x28"), "binary trace: oversized name");
+    EXPECT_EQ(readError(hdr + "\x05" + "ab"), "binary trace: truncated name");
+    // One processor, two records: an instruction batch, then nothing.
+    EXPECT_EQ(readError(hdr + '\x00' + '\x02' + '\x00' + '\x05'),
+              "binary trace: truncated record");
+    // A read whose address delta never ends.
+    EXPECT_EQ(readError(hdr + '\x00' + '\x01' + '\x01' + '\x80'),
+              "binary trace: truncated varint");
+    EXPECT_EQ(readError(hdr + '\x00' + '\x01' + '\xc8'),
+              "binary trace: unknown record tag 200");
+    // A record count the image cannot hold is a truncation, not an
+    // allocation of that many records.
+    EXPECT_EQ(readError(hdr + '\x00' + "\xff\xff\xff\xff\xff\xff\x7f"),
+              "binary trace: truncated record");
+}
+
+TEST(TraceIoBinary, EveryTruncationThrows)
+{
+    const std::string image = binaryImage(makeSampleTrace());
+    EXPECT_EQ(readError(image), "");
+    for (std::size_t n = 0; n < image.size(); ++n)
+        EXPECT_NE(readError(image.substr(0, n)), "") << "length " << n;
+}
+
+TEST(TraceIoBinary, ByteFlipsThrowOrParse)
+{
+    // Deterministic mutation loop: each mutant overwrites one to four
+    // bytes of a small trace with fixed-seed random values. Every
+    // mutant must either parse or be rejected with std::runtime_error;
+    // anything else (another exception, an abort, a sanitizer report
+    // in the ASan+UBSan build) fails.
+    const std::string image = binaryImage(makeSampleTrace());
+    std::mt19937_64 rng(424242);
+    unsigned parsed = 0;
+    for (int mutant = 0; mutant < 4000; ++mutant) {
+        std::string bytes = image;
+        const int flips = 1 + static_cast<int>(rng() % 4);
+        for (int f = 0; f < flips; ++f)
+            bytes[rng() % bytes.size()] = static_cast<char>(rng() & 0xff);
+        if (readError(bytes).empty())
+            ++parsed;
+    }
+    // Both outcomes occur: the loop reaches past the header.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_LT(parsed, 4000u);
+}
+
 } // namespace
 } // namespace prefsim
-
